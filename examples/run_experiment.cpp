@@ -28,14 +28,11 @@
 #include "algorithms/registry.h"
 #include "comm/registry.h"
 #include "data/idx_loader.h"
-#include "fl/aggregator.h"
 #include "fl/checkpoint.h"
 #include "fl/flags.h"
 #include "fl/metrics.h"
 #include "fl/round_host.h"
 #include "fl/simulation.h"
-#include "net/elastic/host.h"
-#include "net/elastic/pool.h"
 #include "net/net_host.h"
 #include "net/pool.h"
 #include "obs/export.h"
@@ -238,15 +235,6 @@ int main(int argc, char** argv) {
          }
          cfg.net.wire_codec = v;
        }},
-      {"--aggregator",
-       [&](const char* v) {
-         try {
-           fl::set_default_aggregator(v);
-         } catch (const std::invalid_argument& e) {
-           std::fprintf(stderr, "--aggregator: %s\n", e.what());
-           std::exit(2);
-         }
-       }},
       {"--obs", [&](const char*) { cfg.obs.enabled = true; }},
       {"--trace-out",
        [&](const char* v) {
@@ -443,66 +431,45 @@ int main(int argc, char** argv) {
     setup.config = cfg;
     setup.idx_dir = real_data.has_value() ? idx_dir : std::string();
     setup.heartbeat_interval_s = heartbeat_interval_s;
+    setup.elastic = elastic;
     try {
+      net::WorkerPool pool =
+          !connect_list.empty()
+              ? net::WorkerPool::connect(parse_endpoint_list(connect_list),
+                                         setup, sim.param_dim())
+              : net::WorkerPool::spawn_local(workers_remote, worker_bin,
+                                             setup, sim.param_dim());
       if (elastic) {
-        net::ElasticPool pool =
-            !connect_list.empty()
-                ? net::ElasticPool::connect(
-                      parse_endpoint_list(connect_list), setup,
-                      sim.param_dim())
-                : net::ElasticPool::spawn_local(workers_remote, worker_bin,
-                                                setup, sim.param_dim());
         std::printf("distributed (elastic): %zu worker process(es), "
                     "rejoin port %u\n",
                     pool.size(), pool.rejoin_port());
-        std::optional<net::ElasticHost> host;
-        result =
-            sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
-              host.emplace(inner, pool, elastic_cfg);
-              if (streamer) host->set_metrics(&*streamer);
-              return *host;
-            });
-        const auto& st = host->stats();
-        std::printf("elastic: %llu sub-batches, %llu replayed, %llu "
-                    "stolen, %llu evicted, %llu rejoined\n",
-                    static_cast<unsigned long long>(st.sub_batches),
-                    static_cast<unsigned long long>(st.replayed),
-                    static_cast<unsigned long long>(st.stolen),
-                    static_cast<unsigned long long>(st.evicted_workers),
-                    static_cast<unsigned long long>(st.rejoined_workers));
-        if (cfg.obs.enabled) {
-          auto reports = pool.collect_stats();
-          for (std::size_t i = 0; i < reports.size(); ++i) {
-            lanes.push_back({"worker " + std::to_string(i + 1),
-                             std::move(reports[i])});
-          }
-        }
-        pool.shutdown();
       } else {
-        net::WorkerPool pool =
-            !connect_list.empty()
-                ? net::WorkerPool::connect(parse_endpoint_list(connect_list),
-                                           setup, sim.param_dim())
-                : net::WorkerPool::spawn_local(workers_remote, worker_bin,
-                                               setup, sim.param_dim());
         std::printf("distributed: training sharded across %zu worker "
                     "process(es)\n",
                     pool.size());
-        std::optional<net::NetHost> host;
-        result =
-            sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
-              host.emplace(inner, pool);
-              if (streamer) host->set_metrics(&*streamer);
-              return *host;
-            });
-        if (cfg.obs.enabled) {
-          auto reports = pool.collect_stats();
-          for (std::size_t i = 0; i < reports.size(); ++i) {
-            lanes.push_back({pool.label(i), std::move(reports[i])});
-          }
-        }
-        pool.shutdown();
       }
+      std::optional<net::NetHost> host;
+      result = sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
+        host.emplace(inner, pool, elastic_cfg);
+        if (streamer) host->set_metrics(&*streamer);
+        return *host;
+      });
+      if (elastic) {
+        const auto& t = host->traffic();
+        std::printf("elastic: %llu dispatch frames, %llu replayed, %llu "
+                    "stolen, %llu evicted, %llu rejoined\n",
+                    static_cast<unsigned long long>(t.dispatch_frames),
+                    static_cast<unsigned long long>(t.replayed),
+                    static_cast<unsigned long long>(t.stolen),
+                    static_cast<unsigned long long>(t.evicted_workers),
+                    static_cast<unsigned long long>(t.rejoined_workers));
+      }
+      if (cfg.obs.enabled) {
+        for (auto& lane : pool.collect_stats()) {
+          lanes.push_back(std::move(lane));
+        }
+      }
+      pool.shutdown();
     } catch (const std::exception& e) {
       // NetError for transport failures; wire::WireError can still
       // surface from a hostile peer's payload — both end the run with

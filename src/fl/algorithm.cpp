@@ -1,9 +1,7 @@
 #include "fl/algorithm.h"
 
 #include <cassert>
-#include <span>
 
-#include "fl/aggregator.h"
 #include "tensor/vec_math.h"
 
 namespace fedtrip::fl {
@@ -45,10 +43,10 @@ void FederatedAlgorithm::aggregate(std::vector<float>& global,
                                    const std::vector<ClientUpdate>& updates,
                                    std::size_t /*round*/) {
   const auto rho = aggregation_weights(updates);
-  std::vector<std::span<const float>> parts;
-  parts.reserve(updates.size());
-  for (const auto& u : updates) parts.emplace_back(u.params);
-  default_aggregator().weighted_sum(global, rho, parts);
+  vec::zero(global);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    vec::accumulate_weighted(global, rho[i], updates[i].params);
+  }
 }
 
 }  // namespace fedtrip::fl

@@ -99,7 +99,7 @@ const std::vector<FlagSpec>& experiment_flags() {
        "fl_worker binary for --workers-remote (default: next to this "
        "executable)"},
       {"--elastic", nullptr,
-       "run the distributed pool under the elastic coordinator: worker "
+       "run the distributed pool as an elastic fleet: worker "
        "eviction + dispatch replay, work-stealing, mid-run rejoin "
        "(bit-identical results; requires --workers-remote or --connect)"},
       {"--heartbeat-interval", "X",
@@ -111,10 +111,6 @@ const std::vector<FlagSpec>& experiment_flags() {
        "qsgd|qsgd8|qsgd4|randmask (default identity). Verify-and-fallback: "
        "a vector ships encoded only when the receiver reconstructs it "
        "bit-exactly AND it is smaller, so results never change"},
-      {"--aggregator", "NAME",
-       "server aggregation backend: scalar|blocked|auto (default auto; "
-       "blocked is the cache-tiled vectorized kernel, bitwise-identical "
-       "to scalar and self-checked at runtime)"},
       // Observability (docs/OBSERVABILITY.md).
       {"--obs", nullptr,
        "enable tracing + metrics collection (virtual/wall spans, counters); "

@@ -1,4 +1,4 @@
-// WorkerHealth: the elastic coordinator's worker-lifecycle state machine.
+// WorkerHealth: the coordinator's worker-lifecycle state machine.
 //
 // One slot per worker that ever joined the run (original pool members and
 // rejoiners alike); a slot moves active -> evicted exactly once, with a

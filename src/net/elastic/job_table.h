@@ -1,4 +1,4 @@
-// JobTable: the per-dispatch lifecycle ledger of the elastic coordinator.
+// JobTable: the per-dispatch lifecycle ledger of NetHost::train.
 //
 // Every dispatch of one Host::train() batch is a *job* with a typed state,
 // modelled on the IPP job lifecycle (queued/processing/completed/aborted

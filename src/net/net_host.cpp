@@ -1,19 +1,41 @@
 #include "net/net_host.h"
 
+#include <poll.h>
+
+#include <limits>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "net/elastic/job_table.h"
 #include "net/frame.h"
 #include "obs/stream.h"
 #include "obs/tracer.h"
 
 namespace fedtrip::net {
+namespace {
 
-NetHost::NetHost(fl::RoundHost& inner, WorkerPool& pool)
-    : inner_(inner), pool_(pool) {
-  if (pool_.size() == 0) {
-    throw NetError("NetHost needs at least one worker");
-  }
+/// Dispatches per elastic frame: a straggler holds at most one dispatch
+/// hostage, and everything else it was assigned stays stealable.
+constexpr std::size_t kElasticChunk = 1;
+/// Attempts (first try + replays) before a job — and the run — is failed:
+/// a poisoned dispatch must not kill every worker in turn.
+constexpr std::size_t kMaxAttempts = 5;
+
+}  // namespace
+
+NetHost::NetHost(fl::RoundHost& inner, WorkerPool& pool, ElasticConfig cfg)
+    : inner_(inner),
+      pool_(pool),
+      cfg_(cfg),
+      epoch_(std::chrono::steady_clock::now()) {
+  for (std::size_t i = 0; i < pool_.size(); ++i) health_.add_worker(now());
+}
+
+double NetHost::now() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch_)
+      .count();
 }
 
 std::size_t NetHost::num_clients() const { return inner_.num_clients(); }
@@ -62,150 +84,349 @@ obs::Tracer* NetHost::tracer() const { return inner_.tracer(); }
 
 std::vector<fl::ClientUpdate> NetHost::train(
     const std::vector<sched::Dispatch>& batch) {
-  const std::size_t n = pool_.size();
-  ++batch_seq_;
   obs::Tracer* const tr = inner_.tracer();
-  obs::WallSpan rpc_span(tr, "rpc_batch",
-                         {{"batch_seq", static_cast<double>(batch_seq_)},
-                          {"dispatches", static_cast<double>(batch.size())}});
+  const bool elastic = pool_.elastic();
+  const std::size_t num_jobs = batch.size();
+  obs::WallSpan span(tr, "rpc_batch",
+                     {{"batch_seq", static_cast<double>(batch_seq_ + 1)},
+                      {"dispatches", static_cast<double>(num_jobs)}});
+  if (tr && elastic) tr->count("net.elastic.jobs", num_jobs);
 
-  // Assemble one message per worker that owns part of the batch. Snapshot
-  // vectors are deduplicated by pointer: a sync/fastk cohort shares one
-  // broadcast, so it travels once per worker, not once per dispatch.
-  struct PerWorker {
-    DispatchBatchMsg msg;
-    std::vector<std::size_t> positions;  // indices into `batch`
-    std::unordered_map<const void*, std::uint32_t> set_index;
+  JobTable jt(num_jobs, pool_.size());
+  // One frame in flight per worker; seq 0 means idle.
+  struct Outstanding {
+    std::uint64_t seq = 0;
+    std::vector<std::size_t> jobs;
   };
-  std::vector<PerWorker> shards(n);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& d = batch[i];
-    PerWorker& pw = shards[d.client_id % n];
-    const void* key = d.params.get();
-    auto [it, inserted] = pw.set_index.try_emplace(
-        key, static_cast<std::uint32_t>(pw.msg.param_sets.size()));
-    if (inserted) pw.msg.param_sets.push_back(*d.params);
+  std::vector<Outstanding> out(pool_.size());
+  std::vector<fl::ClientUpdate> updates(num_jobs);
+  double pre_round_flops = 0.0;
+  std::size_t rr = 0;  // replay reassignment cursor
 
-    WireDispatch wd;
-    wd.seq = d.seq;
-    wd.client_id = d.client_id;
-    wd.round = d.round;
-    wd.train_key = d.train_key;
-    wd.param_set = it->second;
-    if (const fl::HistoryEntry* h = inner_.client_history(d.client_id)) {
-      wd.has_history = true;
-      wd.history_round = h->round;
-      wd.history_params = h->params;
+  // Elastic only: the worker leaves the run and its unfinished jobs
+  // replay onto the survivors.
+  auto evict = [&](std::size_t w, EvictReason reason) {
+    health_.evict(w, reason);
+    pool_.disconnect(w);
+    ++traffic_.evicted_workers;
+    if (tr) {
+      tr->count("net.elastic.evicted");
+      tr->count(std::string("net.elastic.evicted.") +
+                evict_reason_name(reason));
     }
-    pw.msg.dispatches.push_back(std::move(wd));
-    pw.positions.push_back(i);
-  }
+    const std::size_t in_flight = out[w].jobs.size();
+    out[w] = Outstanding{};
+    traffic_.replayed += in_flight;
+    if (tr && in_flight > 0) tr->count("net.elastic.replayed", in_flight);
+    const std::vector<std::size_t> orphans = jt.evict_worker(w);
+    const std::vector<std::size_t> act = health_.active_slots();
+    for (const std::size_t j : orphans) {
+      if (jt.attempts(j) >= kMaxAttempts) {
+        jt.evict_job(j);
+        throw NetError(
+            "dispatch for client " + std::to_string(batch[j].client_id) +
+            " failed " + std::to_string(kMaxAttempts) +
+            " attempts; giving up (" + health_.evicted_brief() + ")");
+      }
+      if (act.empty()) {
+        throw NetError("every worker was lost mid-batch: " +
+                       health_.evicted_brief());
+      }
+      jt.enqueue(j, act[rr++ % act.size()]);
+    }
+  };
+  // A worker failure: the end of the run under a fail-fast pool, an
+  // eviction under an elastic one.
+  auto fail = [&](std::size_t w, EvictReason reason, const std::string& what) {
+    if (!elastic) throw NetError(what);
+    evict(w, reason);
+  };
 
-  // Ship every shard before collecting any result: the workers overlap
-  // their local training, which is the point of the exercise. Emission is
-  // scatter-gather: metadata chunks + borrowed snapshot spans go out in
-  // one gathered send, with no |w|-sized flattening copy; the wire codec
-  // (Setup-negotiated) compresses each float vector when that is lossless
-  // and smaller.
   const WireCodec* const wc = pool_.wire_codec();
-  for (std::size_t w = 0; w < n; ++w) {
-    if (shards[w].msg.dispatches.empty()) continue;
-    shards[w].msg.batch_seq = batch_seq_;
+  const std::size_t chunk =
+      elastic ? kElasticChunk : std::numeric_limits<std::size_t>::max();
+  auto ship = [&](std::size_t w) {
+    Outstanding o;
+    o.seq = ++batch_seq_;
+    DispatchBatchMsg msg;
+    msg.batch_seq = o.seq;
+    // Snapshot vectors are deduplicated by pointer: a sync/fastk cohort
+    // shares one broadcast, so it travels once per frame, not once per
+    // dispatch.
+    std::unordered_map<const void*, std::uint32_t> set_index;
+    while (o.jobs.size() < chunk && !jt.queue(w).empty()) {
+      const std::size_t j = jt.pop_dispatch(w);
+      const sched::Dispatch& d = batch[j];
+      auto [it, inserted] = set_index.try_emplace(
+          d.params.get(), static_cast<std::uint32_t>(msg.param_sets.size()));
+      if (inserted) msg.param_sets.push_back(*d.params);
+      // Built from the dispatch and the coordinator's history store, both
+      // fixed for the whole batch: a replay re-sends the same bytes, which
+      // is what makes re-execution bit-identical by construction.
+      WireDispatch wd;
+      wd.seq = d.seq;
+      wd.client_id = d.client_id;
+      wd.round = d.round;
+      wd.train_key = d.train_key;
+      wd.param_set = it->second;
+      if (const fl::HistoryEntry* h = inner_.client_history(d.client_id)) {
+        wd.has_history = true;
+        wd.history_round = h->round;
+        wd.history_params = h->params;
+      }
+      msg.dispatches.push_back(std::move(wd));
+      o.jobs.push_back(j);
+    }
+    // Scatter-gather emission: metadata chunks + borrowed snapshot spans
+    // go out in one gathered send (msg outlives it), with no |w|-sized
+    // flattening copy; the Setup-negotiated wire codec compresses each
+    // float vector when that is lossless and smaller.
     SegmentWriter segs;
     WireStats ws;
     {
       obs::ScopedTimer t(tr, "wire.serialize");
-      dispatch_batch_segments(shards[w].msg, wc, &ws, segs);
+      dispatch_batch_segments(msg, wc, &ws, segs);
     }
-    send_frame_segments(pool_.worker(w), wire::RecordType::kNetDispatch,
-                        wc->tag(), segs, tr);
+    try {
+      send_frame_segments(pool_.worker(w), wire::RecordType::kNetDispatch,
+                          wc->tag(), segs, tr);
+    } catch (const NetError& e) {
+      // The popped jobs are in flight on w; eviction requeues them.
+      fail(w, EvictReason::kDisconnected, pool_.label(w) + ": " + e.what());
+      return;
+    }
     ++traffic_.dispatch_frames;
     traffic_.down += ws;
-    if (tr != nullptr && wc->active()) {
+    if (tr && wc->active()) {
       tr->count("net.wire.down.raw_bytes", ws.raw_bytes);
       tr->count("net.wire.down.wire_bytes", ws.wire_bytes);
     }
+    out[w] = std::move(o);
+  };
+
+  auto handle_frame = [&](std::size_t w) {
+    const std::string& label = pool_.label(w);
+    Frame f;
+    try {
+      // Only an elastic pool reads a clean close as a frame (a synthesized
+      // shutdown) rather than a failure.
+      f = recv_frame(pool_.worker(w), label.c_str(), elastic, tr);
+    } catch (const NetError& e) {
+      fail(w, EvictReason::kDisconnected, e.what());
+      return;
+    }
+    auto unexpected = [&] {
+      return label + ": expected train result, got frame type " +
+             std::to_string(static_cast<std::uint32_t>(f.type));
+    };
+    switch (f.type) {
+      case wire::RecordType::kNetShutdown:
+        // Mid-run a close is a death however tidy it was.
+        fail(w, EvictReason::kDisconnected, unexpected());
+        return;
+      case wire::RecordType::kNetHeartbeat:
+        try {
+          (void)parse_heartbeat(f.payload.data(), f.payload.size());
+        } catch (const wire::WireError& e) {
+          fail(w, EvictReason::kProtocolViolation,
+               label + " sent a malformed heartbeat: " + e.what());
+          return;
+        }
+        health_.heard_from(w, now());
+        ++traffic_.heartbeats;
+        if (tr) tr->count("net.elastic.heartbeats");
+        return;
+      case wire::RecordType::kNetDispatchAck: {
+        DispatchAckMsg ack;
+        try {
+          ack = parse_dispatch_ack(f.payload.data(), f.payload.size());
+        } catch (const wire::WireError& e) {
+          fail(w, EvictReason::kProtocolViolation,
+               label + " sent a malformed dispatch ack: " + e.what());
+          return;
+        }
+        if (ack.batch_seq != out[w].seq ||
+            ack.dispatch_count != out[w].jobs.size()) {
+          fail(w, EvictReason::kProtocolViolation,
+               label + " acknowledged batch " +
+                   std::to_string(ack.batch_seq) + " while batch " +
+                   std::to_string(out[w].seq) +
+                   " was outstanding (protocol desync)");
+          return;
+        }
+        health_.heard_from(w, now());
+        return;
+      }
+      case wire::RecordType::kNetResult: {
+        TrainResultMsg result;
+        WireStats ws;
+        try {
+          obs::ScopedTimer t(tr, "wire.deserialize");
+          result =
+              parse_train_result(f.payload.data(), f.payload.size(), wc, &ws);
+        } catch (const wire::WireError& e) {
+          // Transport-facing contract: everything a bad peer can cause
+          // surfaces as NetError with the worker named (a malformed
+          // payload inside a well-formed frame included).
+          fail(w, EvictReason::kProtocolViolation,
+               label + " returned a malformed train result: " + e.what());
+          return;
+        }
+        traffic_.up += ws;
+        if (tr && wc->active()) {
+          tr->count("net.wire.up.raw_bytes", ws.raw_bytes);
+          tr->count("net.wire.up.wire_bytes", ws.wire_bytes);
+        }
+        Outstanding& o = out[w];
+        if (o.seq == 0 || result.batch_seq != o.seq) {
+          fail(w, EvictReason::kProtocolViolation,
+               label + " answered batch " + std::to_string(result.batch_seq) +
+                   " while batch " + std::to_string(o.seq) +
+                   " was outstanding (protocol desync)");
+          return;
+        }
+        if (result.updates.size() != o.jobs.size()) {
+          fail(w, EvictReason::kProtocolViolation,
+               label + " returned " + std::to_string(result.updates.size()) +
+                   " updates for " + std::to_string(o.jobs.size()) +
+                   " dispatches");
+          return;
+        }
+        // Validate the whole frame before committing any of it: a bad
+        // update fails the worker, and an elastic frame replays whole.
+        for (std::size_t k = 0; k < o.jobs.size(); ++k) {
+          const WireUpdate& u = result.updates[k];
+          const sched::Dispatch& d = batch[o.jobs[k]];
+          if (u.client_id != d.client_id) {
+            fail(w, EvictReason::kProtocolViolation,
+                 label + " returned an update for client " +
+                     std::to_string(u.client_id) +
+                     " at a slot dispatched to client " +
+                     std::to_string(d.client_id));
+            return;
+          }
+          if (u.params.size() != d.params->size()) {
+            fail(w, EvictReason::kProtocolViolation,
+                 label + " returned " + std::to_string(u.params.size()) +
+                     " parameters, model has " +
+                     std::to_string(d.params->size()));
+            return;
+          }
+        }
+        pre_round_flops += result.pre_round_flops;
+        for (std::size_t k = 0; k < o.jobs.size(); ++k) {
+          const std::size_t j = o.jobs[k];
+          if (!jt.complete(j)) {
+            // Replay idempotence: the job finished elsewhere first.
+            ++traffic_.duplicate_results;
+            if (tr) tr->count("net.elastic.duplicate_results");
+            continue;
+          }
+          updates[j] = to_client_update(std::move(result.updates[k]));
+        }
+        o = Outstanding{};
+        health_.heard_from(w, now());
+        return;
+      }
+      case wire::RecordType::kNetError:
+        // The worker shipped its own fatal diagnostic: it is done for;
+        // under an elastic pool its work is not.
+        fail(w, EvictReason::kProtocolViolation,
+             label + " failed mid-round: " +
+                 parse_error(f.payload.data(), f.payload.size()));
+        return;
+      default:
+        fail(w, EvictReason::kProtocolViolation, unexpected());
+        return;
+    }
+  };
+
+  // A slot the stats poll lost between batches leaves before assignment.
+  for (const std::size_t w : health_.active_slots()) {
+    if (!pool_.connected(w)) evict(w, EvictReason::kDisconnected);
+  }
+  const std::vector<std::size_t> active = health_.active_slots();
+  if (active.empty()) {
+    throw NetError("no live workers: " + health_.evicted_brief());
+  }
+  // The static shard rule: a fail-fast worker rejects any other client.
+  for (std::size_t j = 0; j < num_jobs; ++j) {
+    jt.enqueue(j, active[batch[j].client_id % active.size()]);
   }
 
-  std::vector<fl::ClientUpdate> updates(batch.size());
-  double pre_round_flops = 0.0;
-  for (std::size_t w = 0; w < n; ++w) {
-    PerWorker& pw = shards[w];
-    if (pw.msg.dispatches.empty()) continue;
-    const std::string& label = pool_.label(w);
-    Frame f = recv_frame(pool_.worker(w), label.c_str(), false, tr);
-    if (f.type == wire::RecordType::kNetError) {
-      throw NetError(label + " failed mid-round: " +
-                     parse_error(f.payload.data(), f.payload.size()));
-    }
-    if (f.type != wire::RecordType::kNetResult) {
-      throw NetError(label + ": expected train result, got frame type " +
-                     std::to_string(static_cast<std::uint32_t>(f.type)));
-    }
-    TrainResultMsg result;
-    WireStats ws;
-    try {
-      obs::ScopedTimer t(tr, "wire.deserialize");
-      result = parse_train_result(f.payload.data(), f.payload.size(), wc,
-                                  &ws);
-    } catch (const wire::WireError& e) {
-      // Transport-facing contract: everything a bad peer can cause
-      // surfaces as NetError with the worker named (a malformed payload
-      // inside a well-formed frame included).
-      throw NetError(label + " returned a malformed train result: " +
-                     e.what());
-    }
-    traffic_.up += ws;
-    if (tr != nullptr && wc->active()) {
-      tr->count("net.wire.up.raw_bytes", ws.raw_bytes);
-      tr->count("net.wire.up.wire_bytes", ws.wire_bytes);
-    }
-    if (result.batch_seq != batch_seq_) {
-      throw NetError(label + " answered batch " +
-                     std::to_string(result.batch_seq) + " while batch " +
-                     std::to_string(batch_seq_) +
-                     " was outstanding (protocol desync)");
-    }
-    if (result.updates.size() != pw.positions.size()) {
-      throw NetError(label + " returned " +
-                     std::to_string(result.updates.size()) +
-                     " updates for " + std::to_string(pw.positions.size()) +
-                     " dispatches");
-    }
-    pre_round_flops += result.pre_round_flops;
-    for (std::size_t j = 0; j < result.updates.size(); ++j) {
-      const std::size_t pos = pw.positions[j];
-      fl::ClientUpdate u = to_client_update(std::move(result.updates[j]));
-      if (u.client_id != batch[pos].client_id) {
-        throw NetError(label + " returned an update for client " +
-                       std::to_string(u.client_id) + " at a slot "
-                       "dispatched to client " +
-                       std::to_string(batch[pos].client_id));
+  while (!jt.all_completed()) {
+    // Feed idle workers; an idle elastic worker with an empty queue
+    // steals first.
+    for (const std::size_t w : health_.active_slots()) {
+      if (out[w].seq != 0) continue;
+      if (elastic && jt.queue(w).empty()) {
+        const std::vector<std::size_t> moved = jt.steal_into(w);
+        traffic_.stolen += moved.size();
+        if (tr && !moved.empty()) tr->count("net.elastic.stolen", moved.size());
       }
-      if (u.params.size() != batch[pos].params->size()) {
-        throw NetError(label + " returned " +
-                       std::to_string(u.params.size()) +
-                       " parameters, model has " +
-                       std::to_string(batch[pos].params->size()));
+      if (!jt.queue(w).empty()) ship(w);
+    }
+    if (jt.all_completed()) break;
+
+    // One poll round over the live sockets and the rejoin door (a
+    // fail-fast pool has none: poll ignores its fd of -1).
+    std::vector<pollfd> fds;
+    std::vector<std::size_t> owners;
+    for (const std::size_t w : health_.active_slots()) {
+      fds.push_back(pollfd{pool_.worker(w).fd(), POLLIN, 0});
+      owners.push_back(w);
+    }
+    fds.push_back(pollfd{pool_.listener_fd(), POLLIN, 0});
+    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+    if (rc > 0) {
+      for (std::size_t i = 0; i < owners.size(); ++i) {
+        if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
+        if (health_.active(owners[i])) handle_frame(owners[i]);
       }
-      updates[pos] = std::move(u);
+      if ((fds.back().revents & POLLIN) != 0) {
+        const std::size_t slot = pool_.try_admit(0);
+        if (slot != WorkerPool::kNoSlot) {
+          health_.add_worker(now());
+          jt.add_worker();
+          out.resize(pool_.size());
+          ++traffic_.rejoined_workers;
+          if (tr) tr->count("net.elastic.rejoined");
+        }
+      }
+    }
+
+    // Deadline sweep AFTER the drain above: a heartbeat that was sitting
+    // in the socket buffer counts as life before silence is judged.
+    // Fail-fast workers send no heartbeats, so they are never swept.
+    if (elastic) {
+      for (const std::size_t w :
+           health_.expired(now(), cfg_.worker_deadline_s)) {
+        evict(w, EvictReason::kDeadlineExpired);
+      }
+    }
+    if (health_.num_active() == 0) {
+      throw NetError("every worker was lost mid-batch: " +
+                     health_.evicted_brief());
     }
   }
 
   // Same accounting order as the in-process path: pre-round first, then
-  // each update in batch order (pre-round is exactly 0.0 for every
-  // remote-trainable method, so the shard-wise sum changes nothing).
+  // each update in batch order, whatever order the results arrived in
+  // (pre-round is exactly 0.0 for every remote-trainable method, so the
+  // frame-wise sum changes nothing).
   inner_.add_flops(pre_round_flops);
   for (const auto& u : updates) inner_.add_flops(u.flops);
 
   if (metrics_ != nullptr && metrics_->due()) {
-    rpc_span.end();  // the stats poll is not part of the batch RPC
+    span.end();  // the stats poll is not part of the batch RPC
     std::vector<obs::TraceLane> lanes;
     lanes.push_back(
         {"coordinator", tr != nullptr ? tr->snapshot() : obs::TraceData{}});
-    std::vector<obs::TraceData> reports = pool_.collect_stats();
-    for (std::size_t w = 0; w < reports.size(); ++w) {
-      lanes.push_back({pool_.label(w), std::move(reports[w])});
+    for (auto& lane : pool_.collect_stats()) lanes.push_back(std::move(lane));
+    // Answering the poll is a sign of life, and it consumed any
+    // heartbeats queued ahead of the report.
+    for (const std::size_t w : health_.active_slots()) {
+      if (pool_.connected(w)) health_.heard_from(w, now());
     }
     const std::uint64_t round =
         batch.empty() ? 0 : static_cast<std::uint64_t>(batch.front().round);

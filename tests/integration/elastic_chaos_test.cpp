@@ -1,4 +1,4 @@
-// The acceptance gate of the elastic coordinator: a socket-backed run
+// The acceptance gate of elastic fleets: a socket-backed run
 // whose workers are killed, slowed, dropped-and-rejoined or struck mute
 // mid-run must still be bit-identical to the in-process engine — same
 // full CSV, same final parameters, same byte accounting, same
@@ -11,12 +11,15 @@
 // WorkerServer whose world is rebuilt from the wire-shipped Setup — the
 // same thing fl_worker does in a separate process (the CI chaos smoke
 // covers the fork/exec path). A dropped worker redials the pool's rejoin
-// door the way fl_worker's serve loop does.
+// door the way fl_worker's serve loop does. Workers are accepted one at a
+// time, each before the next thread starts, so servers[i] is slot i and
+// the client_id % slots assignment puts each chaos fault on a known share.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -29,9 +32,9 @@
 #include "fl/round_host.h"
 #include "fl/simulation.h"
 #include "net/elastic/chaos.h"
-#include "net/elastic/host.h"
-#include "net/elastic/pool.h"
 #include "net/frame.h"
+#include "net/net_host.h"
+#include "net/pool.h"
 #include "net/socket.h"
 #include "net/worker.h"
 #include "../fl/sim_util.h"
@@ -99,34 +102,46 @@ void worker_main(std::uint16_t port, net::WorkerServer* server) {
 
 struct ElasticRun {
   fl::RunResult result;
-  net::ElasticStats stats;
+  net::NetHost::Traffic stats;
   std::vector<net::EvictReason> reasons;  // per slot, at end of run
+  std::vector<std::string> surviving_labels;  // slots still active
+  std::vector<std::string> stats_labels;      // lanes of collect_stats()
   std::vector<std::unique_ptr<net::WorkerServer>> servers;
 };
 
+/// Accepts one worker per entry of `mains`, each before the next thread
+/// starts: conns[i] is the worker threads[i] runs, never an accept race.
+std::vector<net::Socket> accept_in_order(
+    net::Listener& listener, std::vector<std::function<void()>> mains,
+    std::vector<std::thread>& threads) {
+  std::vector<net::Socket> conns;
+  for (auto& main : mains) {
+    threads.emplace_back(std::move(main));
+    conns.push_back(listener.accept());
+  }
+  return conns;
+}
+
 /// One elastic run with `chaos.size()` worker threads, chaos[i] armed on
-/// servers[i]. NOTE: the thread-to-slot mapping is an accept race — assert
-/// against the returned servers (stable), not slot indices.
+/// servers[i], which is pool slot i.
 ElasticRun run_elastic(const fl::ExperimentConfig& cfg,
                        const std::vector<net::ChaosConfig>& chaos,
                        net::ElasticConfig ecfg = {},
                        double heartbeat_interval_s = 0.05) {
-  const std::size_t n = chaos.size();
   net::Listener listener(0);
   const std::uint16_t port = listener.port();
 
   ElasticRun out;
-  out.servers.reserve(n);
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.servers.push_back(
-        std::make_unique<net::WorkerServer>(nullptr, chaos[i]));
-    threads.emplace_back(worker_main, port, out.servers[i].get());
+  std::vector<std::function<void()>> mains;
+  for (const auto& c : chaos) {
+    out.servers.push_back(std::make_unique<net::WorkerServer>(nullptr, c));
+    mains.push_back([port, server = out.servers.back().get()] {
+      worker_main(port, server);
+    });
   }
-  std::vector<net::Socket> conns;
-  conns.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) conns.push_back(listener.accept());
+  std::vector<std::thread> threads;
+  std::vector<net::Socket> conns =
+      accept_in_order(listener, std::move(mains), threads);
 
   algorithms::AlgoParams p;
   fl::Simulation sim(cfg, algorithms::make_algorithm("FedTrip", p));
@@ -134,18 +149,25 @@ ElasticRun run_elastic(const fl::ExperimentConfig& cfg,
   setup.method = "FedTrip";
   setup.algo = p;
   setup.config = cfg;
+  setup.elastic = true;
   setup.heartbeat_interval_s = heartbeat_interval_s;
   auto pool =
-      net::ElasticPool::adopt(std::move(conns), setup, sim.param_dim());
+      net::WorkerPool::handshake(std::move(conns), setup, sim.param_dim());
 
-  std::optional<net::ElasticHost> host;
+  std::optional<net::NetHost> host;
   out.result = sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
     host.emplace(inner, pool, ecfg);
     return *host;
   });
-  out.stats = host->stats();
+  out.stats = host->traffic();
   for (std::size_t w = 0; w < host->health().size(); ++w) {
     out.reasons.push_back(host->health().reason(w));
+    if (host->health().active(w)) {
+      out.surviving_labels.push_back(pool.label(w));
+    }
+  }
+  for (const auto& lane : pool.collect_stats()) {
+    out.stats_labels.push_back(lane.name);
   }
   pool.shutdown();
   for (auto& t : threads) t.join();
@@ -189,7 +211,7 @@ TEST(ElasticChaosTest, CleanFleetMatchesInProcessWithNoLifecycleEvents) {
   EXPECT_EQ(run.stats.evicted_workers, 0u);
   EXPECT_EQ(run.stats.replayed, 0u);
   EXPECT_EQ(run.stats.rejoined_workers, 0u);
-  EXPECT_GT(run.stats.sub_batches, 0u);
+  EXPECT_GT(run.stats.dispatch_frames, 0u);
   EXPECT_GT(run.stats.heartbeats, 0u);
 }
 
@@ -212,6 +234,11 @@ TEST(ElasticChaosTest, KilledWorkerIsEvictedAndItsWorkReplayed) {
     if (r == net::EvictReason::kDisconnected) ++disconnected;
   }
   EXPECT_EQ(disconnected, 1u);
+  // Stats lanes are named by slot: after the eviction, each survivor's
+  // report still carries its own label, not the evicted slot's.
+  EXPECT_EQ(run.stats_labels, run.surviving_labels);
+  EXPECT_EQ(run.surviving_labels,
+            (std::vector<std::string>{"worker 2/3", "worker 3/3"}));
 }
 
 TEST(ElasticChaosTest, SlowedWorkerShedsLoadThroughStealing) {
@@ -262,13 +289,13 @@ TEST(ElasticChaosTest, SilentWorkerIsDeadlineEvictedAndReplayed) {
   std::vector<std::unique_ptr<net::WorkerServer>> servers;
   servers.push_back(std::make_unique<net::WorkerServer>());
   servers.push_back(std::make_unique<net::WorkerServer>());
-  std::vector<std::thread> threads;
-  threads.emplace_back(worker_main, port, servers[0].get());
-  threads.emplace_back(worker_main, port, servers[1].get());
+  std::vector<std::function<void()>> mains;
+  mains.push_back([port, s = servers[0].get()] { worker_main(port, s); });
+  mains.push_back([port, s = servers[1].get()] { worker_main(port, s); });
   // A scripted zombie: handshakes like a real worker, then answers
   // nothing — no acks, no results, no heartbeats. Only the deadline
   // sweep can unstick the batch it is holding.
-  threads.emplace_back([port, dim]() {
+  mains.push_back([port, dim]() {
     try {
       net::Socket conn = net::connect_to("127.0.0.1", port);
       net::Frame hello = net::recv_frame(conn, "coordinator");
@@ -284,24 +311,26 @@ TEST(ElasticChaosTest, SilentWorkerIsDeadlineEvictedAndReplayed) {
       // Evicted: the coordinator hung up on us. As planned.
     }
   });
-  std::vector<net::Socket> conns;
-  for (int i = 0; i < 3; ++i) conns.push_back(listener.accept());
+  std::vector<std::thread> threads;
+  std::vector<net::Socket> conns =
+      accept_in_order(listener, std::move(mains), threads);
 
   net::SetupMsg setup;
   setup.method = "FedTrip";
   setup.algo = p;
   setup.config = cfg;
+  setup.elastic = true;
   setup.heartbeat_interval_s = 0.05;
-  auto pool = net::ElasticPool::adopt(std::move(conns), setup, dim);
+  auto pool = net::WorkerPool::handshake(std::move(conns), setup, dim);
 
   net::ElasticConfig ecfg;
   ecfg.worker_deadline_s = 0.6;  // >> the 50ms heartbeat interval
-  std::optional<net::ElasticHost> host;
+  std::optional<net::NetHost> host;
   auto remote = sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
     host.emplace(inner, pool, ecfg);
     return *host;
   });
-  const net::ElasticStats stats = host->stats();
+  const net::NetHost::Traffic stats = host->traffic();
   std::size_t deadline_evictions = 0;
   for (std::size_t w = 0; w < host->health().size(); ++w) {
     if (host->health().reason(w) == net::EvictReason::kDeadlineExpired) {

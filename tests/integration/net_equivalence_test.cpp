@@ -55,8 +55,10 @@ fl::RunResult run_in_process(const fl::ExperimentConfig& cfg) {
   return sim.run();
 }
 
+/// `traffic` (optional) receives the NetHost's socket accounting.
 fl::RunResult run_distributed(const fl::ExperimentConfig& cfg,
-                              std::size_t num_workers) {
+                              std::size_t num_workers,
+                              net::NetHost::Traffic* traffic = nullptr) {
   net::Listener listener(0);
   const std::uint16_t port = listener.port();
 
@@ -91,6 +93,7 @@ fl::RunResult run_distributed(const fl::ExperimentConfig& cfg,
     host.emplace(inner, pool);
     return *host;
   });
+  if (traffic != nullptr) *traffic = host->traffic();
   pool.shutdown();
   for (auto& w : workers) w.join();
   return result;
@@ -176,6 +179,31 @@ TEST(NetEquivalenceTest, LossyWireCodecStaysBitIdentical) {
   cfg.sched.policy = "deadline";
   cfg.net.wire_codec = "qsgd4";
   expect_bit_identical(cfg, "deadline/wire-codec=qsgd4");
+}
+
+TEST(NetEquivalenceTest, FailFastPoolShipsEachWorkerShareInOneFrame) {
+  // The fail-fast wire contract: one dispatch frame per worker per train
+  // call, carrying the broadcast snapshot once plus a history vector for
+  // every client already uplinked (from round 2 on, all of them). Each
+  // float vector is an 8-byte count plus 4-byte floats.
+  fl::ExperimentConfig cfg = fl::testing::tiny_config();
+  cfg.num_clients = 4;
+  cfg.clients_per_round = 4;
+  cfg.rounds = 3;
+  cfg.sched.policy = "sync";
+  const auto local = run_in_process(cfg);
+  net::NetHost::Traffic traffic;
+  const auto remote = run_distributed(cfg, 2, &traffic);
+  EXPECT_EQ(local.final_params, remote.final_params);
+
+  const std::uint64_t R = cfg.rounds;
+  const std::uint64_t K = cfg.num_clients;
+  const std::uint64_t vec_bytes = 8 + 4 * local.final_params.size();
+  EXPECT_EQ(traffic.dispatch_frames, 2 * R);
+  EXPECT_EQ(traffic.down.raw_bytes, (2 * R + K * (R - 1)) * vec_bytes);
+  EXPECT_EQ(traffic.replayed + traffic.stolen + traffic.evicted_workers +
+                traffic.heartbeats,
+            0u);
 }
 
 TEST(NetEquivalenceTest, OneWorkerAndManyWorkersAgree) {

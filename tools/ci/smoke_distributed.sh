@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Distributed smoke: 2 spawned worker processes are bit-identical to the
 # in-process engine — with the raw socket path, with the Setup-negotiated
-# wire codec compressing dispatch/result frames, and with the scalar
-# aggregation backend (the blocked kernel is the default; both must
-# produce the same bytes).
+# wire codec compressing dispatch/result frames, and as an elastic fleet
+# (one dispatch per frame, spawned children dialing the rejoin door).
 # Usage: smoke_distributed.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
 cd "${1:-build}"
@@ -27,9 +26,10 @@ diff inproc_dist.csv twoproc.csv
   --out twoproc_codec.csv
 diff inproc_dist.csv twoproc_codec.csv
 
-# And the scalar reference aggregator against the default blocked kernel.
+# And the spawned pool as an elastic fleet: no chaos, same CSV.
 ./run_experiment --method FedTrip --rounds 3 --scale 0.05 \
   --schedule deadline --compressor ef+topk --delta \
   --network straggler --compute-profile bimodal \
-  --availability markov --aggregator scalar --out inproc_scalar.csv
-diff inproc_dist.csv inproc_scalar.csv
+  --availability markov --workers-remote 2 --elastic \
+  --out twoproc_elastic.csv
+diff inproc_dist.csv twoproc_elastic.csv

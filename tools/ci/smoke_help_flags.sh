@@ -16,7 +16,7 @@ for flag in --schedule --overselect --buffer --staleness-alpha \
     --elastic --heartbeat-interval --worker-deadline \
     --client-data --shard-samples --virtual-chunk \
     --no-participation --no-partition-stats \
-    --wire-codec --aggregator \
+    --wire-codec \
     --metrics-interval --metrics-ndjson --flight-recorder; do
   grep -q -- "$flag" <<< "$help_text" \
     || { echo "--help omits $flag"; exit 1; }
