@@ -1,8 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, im2col
-// convolution, and the attaching operations whose 2|w| / 4|w| costs drive
-// the paper's Table V/VIII accounting.
+// convolution, the attaching operations whose 2|w| / 4|w| costs drive
+// the paper's Table V/VIII accounting, and test-set evaluation.
 #include <benchmark/benchmark.h>
 
+#include "algorithms/fedtrip.h"
+#include "fl/simulation.h"
 #include "nn/conv2d.h"
 #include "nn/models.h"
 #include "tensor/ops.h"
@@ -26,6 +28,47 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+
+// The GEMMs of the models' hot layers, one benchmark per kernel with
+// (m, k, n) as arguments.
+template <auto Kernel>
+void BM_GemmShape(benchmark::State& state) {
+  const auto m = static_cast<std::int64_t>(state.range(0));
+  const auto k = static_cast<std::int64_t>(state.range(1));
+  const auto n = static_cast<std::int64_t>(state.range(2));
+  Rng rng(9);
+  std::vector<float> a(m * k), b(k * n), c(m * n);
+  for (auto& v : a) v = rng.normal();
+  for (auto& v : b) v = rng.normal();
+  for (auto _ : state) {
+    Kernel(a.data(), b.data(), c.data(), m, k, n, 1.0f, 1.0f);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+// CNN last conv forward: a 1x1 output makes n = 1. gemm and gemm_tn take
+// the narrow path below 16 output columns (n = 4: the CNN on 32x32 inputs)
+// and the row path from 16 on (n = 16: AlexNet's 4x4 convs on 32x32
+// inputs), so n = 8 and 15 time the path inside the cut and 16 the first
+// width past it.
+BENCHMARK(BM_GemmShape<ops::gemm>)
+    ->Args({120, 400, 1})
+    ->Args({120, 400, 4})
+    ->Args({120, 400, 8})
+    ->Args({120, 400, 15})
+    ->Args({120, 400, 16})
+    ->Args({96, 432, 16});
+// Its weight gradient (a 1x1 output makes k = 1) and the MLP hidden layer.
+BENCHMARK(BM_GemmShape<ops::gemm_nt>)->Args({120, 1, 400})->Args({32, 784, 100});
+// Its input gradient, at the same widths.
+BENCHMARK(BM_GemmShape<ops::gemm_tn>)
+    ->Args({400, 120, 1})
+    ->Args({400, 120, 4})
+    ->Args({400, 120, 8})
+    ->Args({400, 120, 15})
+    ->Args({400, 120, 16})
+    ->Args({432, 96, 16});
 
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(2);
@@ -113,6 +156,33 @@ void BM_CnnFeedforward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CnnFeedforward);
+
+// Simulation::evaluate on paper-cnn's test split (250 samples, CNN, 4
+// workers). Argument 0: a fresh Simulation, which evaluates on the calling
+// thread; 1: after one round of local training, over the training threads.
+void BM_Evaluate(benchmark::State& state) {
+  fl::ExperimentConfig cfg;
+  cfg.model.arch = nn::Arch::kCNN;
+  cfg.dataset = "mnist";
+  cfg.data_scale = 0.1;
+  cfg.num_clients = 10;
+  cfg.clients_per_round = 4;
+  cfg.rounds = 1;
+  cfg.batch_size = 15;
+  cfg.workers = 4;
+  fl::Simulation sim(cfg, std::make_unique<algorithms::FedTrip>(0.4f));
+  std::vector<float> params = sim.run().final_params;
+  if (state.range(0) == 0) {
+    sim = fl::Simulation(cfg, std::make_unique<algorithms::FedTrip>(0.4f));
+  }
+  for (auto _ : state) {
+    double acc = sim.evaluate(params);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sim.test_data().size()));
+}
+BENCHMARK(BM_Evaluate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_WeightedAggregation(benchmark::State& state) {
   const std::size_t n = 620'000;

@@ -36,6 +36,39 @@ data::TrainTest generate_for_mode(const ExperimentConfig& config) {
   return data::generate(spec, config.seed);
 }
 
+// The layers check input shapes only with assert, which optimized builds
+// compile out, so a model that does not fit its data would read and write
+// out of bounds. `data` names what the shape came from.
+void check_model_fits(const nn::ModelSpec& model, const std::string& data,
+                      std::int64_t channels, std::int64_t height,
+                      std::int64_t width, std::int64_t classes) {
+  if (model.channels == channels && model.height == height &&
+      model.width == width && model.classes == classes) {
+    return;
+  }
+  const auto shape = [](std::int64_t c, std::int64_t h, std::int64_t w,
+                        std::int64_t k) {
+    return std::to_string(c) + "x" + std::to_string(h) + "x" +
+           std::to_string(w) + " inputs with " + std::to_string(k) +
+           " classes";
+  };
+  throw std::invalid_argument(
+      "model expects " +
+      shape(model.channels, model.height, model.width, model.classes) +
+      ", but " + data + " has " + shape(channels, height, width, classes));
+}
+
+void check_model_fits(const nn::ModelSpec& model, const data::Dataset& ds) {
+  check_model_fits(model, "dataset " + ds.name(), ds.channels(), ds.height(),
+                   ds.width(), ds.classes());
+}
+
+// Samples per forward pass of an evaluating thread.
+constexpr std::size_t kEvalSubBatch = 16;
+// The batch size of the evaluation formula: accuracy is averaged over
+// consecutive batches of this many test samples, weighted by batch size.
+constexpr std::size_t kEvalBatch = 128;
+
 }  // namespace
 
 Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm)
@@ -56,7 +89,9 @@ Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
   }
   const auto spec = data::spec_by_name(config_.dataset, config_.data_scale);
   const bool shard_mode = config_.client_data != "pool";
+  check_model_fits(config_.model, data_.test);
   if (!shard_mode) {
+    check_model_fits(config_.model, data_.train);
     // Per-client sample budget: the Table II per-client count, clamped so
     // the partition always fits in the generated training split.
     std::size_t per_client = static_cast<std::size_t>(spec.client_samples);
@@ -86,6 +121,8 @@ Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
       throw std::invalid_argument("unknown client_data mode: " +
                                   config_.client_data);
     }
+    check_model_fits(config_.model, "dataset " + spec.name, spec.channels,
+                     spec.height, spec.width, spec.classes);
     const std::size_t per_client =
         config_.shard_samples > 0
             ? config_.shard_samples
@@ -119,9 +156,9 @@ Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
     }
   }
 
-  eval_model_ = model_factory_();
-  warm_up(*eval_model_, data_.test);
-  global_params_ = nn::flatten_parameters(*eval_model_);
+  eval_models_.push_back(model_factory_());
+  warm_up(*eval_models_.front(), data_.test);
+  global_params_ = nn::flatten_parameters(*eval_models_.front());
 
   // Channel, network and client-heterogeneity models draw from dedicated
   // split streams: configuring them never perturbs partitioning, model
@@ -148,10 +185,6 @@ Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
       clients::make_availability(config_.clients, config_.num_clients,
                                  root_rng_.split(0xAB51E47)));
 
-  if (config_.workers > 0) {
-    own_pool_ = std::make_unique<ThreadPool>(config_.workers);
-  }
-
   algorithm_->initialize(config_.num_clients, global_params_.size());
 }
 
@@ -174,30 +207,65 @@ void Simulation::set_initial_params(const std::vector<float>& params) {
   global_params_ = params;
 }
 
+ThreadPool* Simulation::training_pool() {
+  if (train_pool_ == nullptr) {
+    if (config_.workers > 0) {
+      own_pool_ = std::make_unique<ThreadPool>(config_.workers);
+      train_pool_ = own_pool_.get();
+    } else {
+      train_pool_ = &ThreadPool::global();
+    }
+  }
+  return train_pool_;
+}
+
 double Simulation::evaluate(const std::vector<float>& params) {
-  nn::load_parameters(*eval_model_, params);
+  nn::load_parameters(*eval_models_.front(), params);
   const std::size_t total =
       config_.eval_max_samples > 0
           ? std::min(config_.eval_max_samples, data_.test.size())
           : data_.test.size();
   if (total == 0) return 0.0;
 
-  constexpr std::size_t kEvalBatch = 128;
-  std::size_t correct_weighted = 0;
+  // One contiguous range of the test samples per training thread; hits[i]
+  // records whether sample i was classified correctly.
+  const std::size_t sub_batches = (total + kEvalSubBatch - 1) / kEvalSubBatch;
+  const std::size_t threads =
+      train_pool_ != nullptr ? std::min(train_pool_->size(), sub_batches) : 1;
+  const std::size_t range = (total + threads - 1) / threads;
+  if (eval_models_.size() < threads) eval_models_.resize(threads);
+  std::vector<std::uint8_t> hits(total);
+  const auto evaluate_range = [&](std::size_t t) {
+    std::unique_ptr<nn::Sequential>& model = eval_models_[t];
+    if (t > 0) {
+      if (!model) model = model_factory_();
+      nn::load_parameters(*model, params);
+    }
+    const std::size_t end = std::min(total, (t + 1) * range);
+    std::vector<std::size_t> idx;
+    for (std::size_t start = t * range; start < end; start += kEvalSubBatch) {
+      idx.resize(std::min(end, start + kEvalSubBatch) - start);
+      for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = start + i;
+      Tensor logits =
+          model->forward(data_.test.make_batch(idx), /*train=*/false);
+      nn::mark_correct(logits, data_.test.make_batch_labels(idx),
+                       hits.data() + start);
+    }
+  };
+  if (threads == 1) {
+    evaluate_range(0);
+  } else {
+    parallel_for(0, threads, evaluate_range, train_pool_);
+  }
+
   double acc_sum = 0.0;
-  std::size_t seen = 0;
-  (void)correct_weighted;
   for (std::size_t start = 0; start < total; start += kEvalBatch) {
     const std::size_t end = std::min(total, start + kEvalBatch);
-    std::vector<std::size_t> idx(end - start);
-    for (std::size_t i = start; i < end; ++i) idx[i - start] = i;
-    Tensor x = data_.test.make_batch(idx);
-    auto labels = data_.test.make_batch_labels(idx);
-    Tensor logits = eval_model_->forward(x, /*train=*/false);
-    acc_sum += nn::accuracy(logits, labels) * static_cast<double>(idx.size());
-    seen += idx.size();
+    const auto correct = std::count(hits.begin() + start, hits.begin() + end, 1);
+    const double n = static_cast<double>(end - start);
+    acc_sum += static_cast<double>(correct) / n * n;
   }
-  return acc_sum / static_cast<double>(seen);
+  return acc_sum / static_cast<double>(total);
 }
 
 Simulation::TransientClient Simulation::materialize_client(
@@ -228,8 +296,10 @@ void Simulation::init_result(RunResult* result) const {
     }
   }
   result->model_params = static_cast<double>(global_params_.size());
-  result->model_forward_flops = eval_model_->forward_flops_per_sample();
-  result->model_backward_flops = eval_model_->backward_flops_per_sample();
+  result->model_forward_flops =
+      eval_models_.front()->forward_flops_per_sample();
+  result->model_backward_flops =
+      eval_models_.front()->backward_flops_per_sample();
   result->channel_name = channel_->name();
 }
 
@@ -271,7 +341,7 @@ std::vector<ClientUpdate> Simulation::train_shard(
         updates[i] = algorithm_->train_client(contexts[i]);
         updates[i].client_id = contexts[i].client->id();
       },
-      own_pool_.get());
+      training_pool());
   return updates;
 }
 
@@ -317,7 +387,7 @@ std::vector<ClientUpdate> Simulation::train_shard_virtual(
           updates[start + i] = algorithm_->train_client(contexts[i]);
           updates[start + i].client_id = contexts[i].client->id();
         },
-        own_pool_.get());
+        training_pool());
   }
   return updates;
 }
@@ -375,7 +445,7 @@ std::vector<ClientUpdate> Simulation::run_round(
         updates[i] = algorithm_->train_client(contexts[i]);
         updates[i].client_id = contexts[i].client->id();
       },
-      own_pool_.get());
+      training_pool());
   return updates;
 }
 

@@ -150,7 +150,14 @@ class Simulation {
   /// tests/integration/sched_equivalence_test.cpp). Ignores config.sched.
   RunResult run_reference();
 
-  /// Evaluates parameters on the held-out test set (accuracy in [0, 1]).
+  /// Evaluates parameters on the held-out test set (accuracy in [0, 1]):
+  /// the mean over 128-sample batches of each batch's accuracy, weighted by
+  /// its size. Once this process has trained locally, the test samples are
+  /// split into contiguous ranges over the training threads, each with its
+  /// own model replica; before that (a socket coordinator never trains
+  /// locally) it runs on the calling thread. Per-sample predictions do not
+  /// depend on which samples share a forward pass, so the result is the
+  /// same double either way.
   double evaluate(const std::vector<float>& params);
 
   /// Replaces the initial global model (e.g. loaded from a checkpoint via
@@ -194,6 +201,12 @@ class Simulation {
   };
   TransientClient materialize_client(std::size_t client_id);
 
+  /// The pool local training runs on: a dedicated pool of config.workers
+  /// threads, started on the first call, or the global pool when workers
+  /// is 0. Also marks this process as one that trains, which evaluate()
+  /// reads.
+  ThreadPool* training_pool();
+
   ExperimentConfig config_;
   AlgorithmPtr algorithm_;
   data::TrainTest data_;
@@ -209,7 +222,9 @@ class Simulation {
   std::size_t virtual_chunk_ = 0;
   RoundSink round_sink_;
   bool sink_keeps_history_ = false;
-  std::unique_ptr<nn::Sequential> eval_model_;
+  /// Evaluation models, one per evaluating thread; [0] is built at
+  /// construction and also gives the model's FLOP costs.
+  std::vector<std::unique_ptr<nn::Sequential>> eval_models_;
   HistoryStore history_;
   std::vector<float> global_params_;
   std::unique_ptr<comm::Channel> channel_;
@@ -217,8 +232,11 @@ class Simulation {
   std::unique_ptr<clients::ComputeModel> compute_;
   std::unique_ptr<clients::AvailabilityModel> availability_;
   Rng root_rng_;
-  /// Dedicated pool when config.workers > 0; otherwise the global pool.
+  /// Dedicated pool when config.workers > 0, started by the first local
+  /// training; otherwise the global pool.
   std::unique_ptr<ThreadPool> own_pool_;
+  /// The pool that has run local training (nullptr until the first).
+  ThreadPool* train_pool_ = nullptr;
   /// Observability sink (non-owning, nullptr = tracing off).
   obs::Tracer* tracer_ = nullptr;
 };

@@ -39,6 +39,22 @@ Tensor SoftmaxCrossEntropy::backward() const {
   return grad;
 }
 
+void mark_correct(const Tensor& logits,
+                  const std::vector<std::int64_t>& labels,
+                  std::uint8_t* hits) {
+  assert(logits.shape().rank() == 2);
+  const std::int64_t batch = logits.shape()[0];
+  const std::int64_t classes = logits.shape()[1];
+  for (std::int64_t n = 0; n < batch; ++n) {
+    const float* row = logits.data() + n * classes;
+    std::int64_t best = 0;
+    for (std::int64_t c = 1; c < classes; ++c) {
+      if (row[c] > row[best]) best = c;
+    }
+    hits[n] = best == labels[static_cast<std::size_t>(n)] ? 1 : 0;
+  }
+}
+
 double accuracy(const Tensor& logits,
                 const std::vector<std::int64_t>& labels) {
   assert(logits.shape().rank() == 2);

@@ -25,6 +25,11 @@ class SoftmaxCrossEntropy {
   std::vector<std::int64_t> labels_;
 };
 
+/// Sets hits[n] to 1 where row n of `logits` (N x C) has its argmax (the
+/// first maximum) at labels[n], else to 0. `hits` holds N bytes.
+void mark_correct(const Tensor& logits, const std::vector<std::int64_t>& labels,
+                  std::uint8_t* hits);
+
 /// Argmax classification accuracy of `logits` (N x C) against `labels`.
 double accuracy(const Tensor& logits, const std::vector<std::int64_t>& labels);
 

@@ -1,5 +1,24 @@
 // ops: dense kernels (GEMM family, im2col/col2im, row softmax) used by the
 // nn layers. All matrices are row-major.
+//
+// Exactness contract of the GEMM family. Results are bit-identical to the
+// plain scalar loops, for every shape and on every path a kernel takes
+// (tests/tensor/ops_property_test.cpp pins them against frozen copies):
+//   * gemm / gemm_tn: element (i, j) starts from 0 when beta == 0, else
+//     from c * beta when beta != 1, else from c; then, for p = 0 .. k-1 in
+//     ascending order, it adds (alpha * a_ip) * b_pj, skipping the term when
+//     alpha * a_ip compares equal to zero.
+//   * gemm_nt: element (i, j) is alpha * dot + (beta == 0 ? 0 : beta * c),
+//     where dot starts from +0.0f and adds a_ip * b_jp for p = 0 .. k-1 in
+//     ascending order, with no skip.
+//   * Every add and multiply is a separately rounded float operation: no
+//     fused multiply-add, no reassociation, no split accumulators.
+// A kernel may block, pack and vectorise across output elements, but never
+// across p. An element therefore depends only on its own row of A, column
+// of B and starting value, not on m or on which rows share a call, which is
+// what lets evaluation split a batch over threads without changing a bit.
+// Where NaNs of different sign or payload meet in one sum, which of them
+// the result carries is left open, as IEEE 754 leaves it.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,7 @@ inline ExperimentConfig tiny_config() {
   cfg.model.arch = nn::Arch::kMLP;
   cfg.model.classes = 10;
   cfg.dataset = "mnist";
-  cfg.data_scale = 0.02;  // 120 train / 20 test samples, 12 per client
+  cfg.data_scale = 0.02;  // 120 train / 250 test samples, 12 per client
   cfg.heterogeneity = data::Heterogeneity::kDir05;
   cfg.num_clients = 5;
   cfg.clients_per_round = 2;

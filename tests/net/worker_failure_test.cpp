@@ -225,5 +225,34 @@ TEST(WorkerFailureTest, RemoteUntrainableMethodRejectedByWorker) {
   EXPECT_NE(what.find("not remote-trainable"), std::string::npos) << what;
 }
 
+TEST(WorkerFailureTest, ModelThatDoesNotFitTheDataRejectedByWorker) {
+  // The worker rebuilds its Simulation from Setup, which checks the
+  // model's geometry and class count against the dataset.
+  auto pair = net::make_socket_pair();
+  std::thread worker([&conn = pair.b]() {
+    try {
+      net::WorkerServer server;
+      server.serve(std::move(conn));
+    } catch (const std::exception&) {
+    }
+  });
+  net::send_frame(pair.a, wire::RecordType::kNetHello, 0,
+                  net::serialize_hello(net::HelloMsg{}));
+  auto hello = net::recv_frame(pair.a, "worker");
+  ASSERT_EQ(hello.type, wire::RecordType::kNetHello);
+  net::SetupMsg setup;
+  setup.method = "FedAvg";
+  setup.config = fl::testing::tiny_config();
+  setup.config.dataset = "emnist";
+  net::send_frame(pair.a, wire::RecordType::kNetSetup, 0,
+                  net::serialize_setup(setup));
+  auto reply = net::recv_frame(pair.a, "worker");
+  worker.join();
+  ASSERT_EQ(reply.type, wire::RecordType::kNetError);
+  const std::string what =
+      net::parse_error(reply.payload.data(), reply.payload.size());
+  EXPECT_NE(what.find("with 47 classes"), std::string::npos) << what;
+}
+
 }  // namespace
 }  // namespace fedtrip

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "gradcheck_util.h"
 
@@ -97,6 +100,27 @@ TEST(AccuracyTest, Half) {
 TEST(AccuracyTest, EmptyBatchIsZero) {
   Tensor logits(Shape{0, 3});
   EXPECT_DOUBLE_EQ(accuracy(logits, {}), 0.0);
+}
+
+// A tie goes to the first maximum, and a NaN logit never beats the running
+// best (so a NaN in column 0 keeps class 0). accuracy and mark_correct
+// keep separate argmax loops; both are pinned here.
+TEST(AccuracyTest, TiesGoToTheFirstMaximumAndNaNNeverWins) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor logits(Shape{4, 3}, {1, 1, 0,     // tie between 0 and 1: class 0
+                              0, 2, 2,     // tie between 1 and 2: class 1
+                              0, nan, -1,  // NaN skipped: class 0
+                              nan, 5, 9}); // NaN first: class 0
+  const std::vector<std::int64_t> right = {0, 1, 0, 0};
+  const std::vector<std::int64_t> wrong = {1, 2, 1, 2};
+  EXPECT_DOUBLE_EQ(accuracy(logits, right), 1.0);
+  EXPECT_DOUBLE_EQ(accuracy(logits, wrong), 0.0);
+  // Neither 0 nor 1, so a row left unwritten fails its check.
+  std::uint8_t hits[4] = {2, 2, 2, 2};
+  mark_correct(logits, right, hits);
+  for (int n = 0; n < 4; ++n) EXPECT_EQ(hits[n], 1) << "row " << n;
+  mark_correct(logits, wrong, hits);
+  for (int n = 0; n < 4; ++n) EXPECT_EQ(hits[n], 0) << "row " << n;
 }
 
 }  // namespace

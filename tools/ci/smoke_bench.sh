@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Bench smoke: every bench with a JSON emitter runs at CI scale and its
-# BENCH_* artifact passes the schema gate before upload.
+# BENCH_* artifact passes the schema gate before upload; bench_kernels
+# runs once with a short minimum time.
 #
 # bench_distributed's flags here MUST match the committed baseline under
 # tests/data/bench/ — the perf gate (compare_bench.py) diffs the two and
@@ -15,6 +16,12 @@ cd "${1:-build}"
 ./bench_comm_compression --rounds 2 --scale 0.05 --json
 ./bench_distributed --rounds 2 --scale 0.02 --json
 ./bench_scale --rounds 2 --scale 0.02 --json
+# The kernel micro-benchmarks, once each (google-benchmark builds only).
+if [ -x ./bench_kernels ]; then
+  ./bench_kernels --benchmark_min_time=0.01
+else
+  echo "bench_kernels not built (google-benchmark missing); skipped"
+fi
 
 python3 "$ROOT/tools/ci/check_bench_json.py" \
   bench_heterogeneity.json bench_sched_async.json \
