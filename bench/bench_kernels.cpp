@@ -202,6 +202,31 @@ void BM_WeightedAggregation(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedAggregation);
 
+// Rng::sample_without_replacement at the shapes the engine draws: one
+// async refill and one 32-client cohort among 100k clients, a 1% draw
+// among a million, the random mask of the MNIST CNN (|w| = 61,708, keep
+// 0.1), the default bimodal-compute and straggler-network draws among
+// 100k clients (20% and 10%), and k on either side of the sparse cut at
+// 100k (n / 32 = 3125).
+void BM_SampleWithoutReplacement(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  Rng rng(5);
+  for (auto _ : state) {
+    auto sample = rng.sample_without_replacement(n, k);
+    benchmark::DoNotOptimize(sample.data());
+  }
+}
+BENCHMARK(BM_SampleWithoutReplacement)
+    ->Args({100000, 1})
+    ->Args({100000, 32})
+    ->Args({1000000, 10000})
+    ->Args({61708, 6171})
+    ->Args({100000, 20000})
+    ->Args({100000, 10000})
+    ->Args({100000, 3124})
+    ->Args({100000, 3125});
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -39,8 +39,10 @@ struct ExperimentConfig {
   /// Shard modes: samples per client (0 = the dataset spec's Table II
   /// per-client count scaled by data_scale).
   std::size_t shard_samples = 0;
-  /// Virtual mode: clients materialized concurrently per train_shard chunk
-  /// (0 = auto). Bounds peak memory without changing results.
+  /// Virtual mode: dispatches per train_shard group (0 = auto, 64). Each
+  /// client is built on the training thread that trains it and released
+  /// after, so at most min(chunk, training threads) are alive at once.
+  /// Bounds peak memory without changing results.
   std::size_t virtual_chunk = 0;
   /// Record per-client participation counts in RunResult (sparse; opt out
   /// when even the map is unwanted bookkeeping at millions of clients).

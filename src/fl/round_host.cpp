@@ -60,15 +60,20 @@ std::vector<std::size_t> RoundHost::select(std::size_t count,
     selected = select_rng_.sample_without_replacement(
         sim_.config_.num_clients, count);
   } else {
-    std::vector<std::size_t> available;
-    available.reserve(busy->size());
+    // Draws ranks among the idle clients and maps rank r to the r-th idle
+    // id. With busy ids b_0 < b_1 < ..., b_j - j idle ids lie below b_j,
+    // so rank r skips exactly the busy ids whose count is <= r.
+    std::vector<std::size_t> idle_below_busy;
     for (std::size_t k = 0; k < busy->size(); ++k) {
-      if (!(*busy)[k]) available.push_back(k);
+      if ((*busy)[k]) idle_below_busy.push_back(k - idle_below_busy.size());
     }
-    count = std::min(count, available.size());
-    for (std::size_t i :
-         select_rng_.sample_without_replacement(available.size(), count)) {
-      selected.push_back(available[i]);
+    const std::size_t idle = busy->size() - idle_below_busy.size();
+    count = std::min(count, idle);
+    for (std::size_t r : select_rng_.sample_without_replacement(idle, count)) {
+      selected.push_back(r + static_cast<std::size_t>(
+                                 std::upper_bound(idle_below_busy.begin(),
+                                                  idle_below_busy.end(), r) -
+                                 idle_below_busy.begin()));
     }
   }
   std::sort(selected.begin(), selected.end());
@@ -115,13 +120,13 @@ std::vector<ClientUpdate> RoundHost::train(
   double pre_flops = 0.0;
   auto updates = sim_.train_shard(work, &pre_flops);
   cum_flops_ += pre_flops;
-  for (const auto& u : updates) cum_flops_ += u.flops;
   return updates;
 }
 
 std::size_t RoundHost::uplink(ClientUpdate& update, std::uint64_t key,
                               const std::vector<float>& sent_from,
                               std::size_t round) {
+  cum_flops_ += update.flops;
   Rng up_rng = comm_rng_.split(key);
   // Algorithms that never read history (FedAvg at a million clients) skip
   // the store entirely — the entries would pin O(participants x |w|)

@@ -14,8 +14,9 @@
 // store, aggregation, the virtual clock) keeps running here on the
 // coordinator. That split is what makes a distributed run bit-identical to
 // the in-process engine (docs/TRANSPORT.md). The hooks NetHost needs —
-// add_flops() for remotely-executed training and client_history() for
-// shipping per-dispatch history entries — live at the bottom.
+// add_flops() for the pre-round FLOPs of remotely-executed training and
+// client_history() for shipping per-dispatch history entries — live at the
+// bottom.
 #pragma once
 
 #include <cstdint>
@@ -63,11 +64,10 @@ class RoundHost final : public sched::Host {
 
   // ---- remote-host hooks (net::NetHost) ----
 
-  /// Accounts FLOPs of training executed outside this host (a remote
-  /// worker). The in-process train() path calls it internally; a wrapper
-  /// that bypasses train() must charge the same values in the same order
-  /// (pre-round first, then each update in batch order) to keep
-  /// cum_gflops bit-identical.
+  /// Accounts the pre-round FLOPs of a batch trained outside this host (a
+  /// remote worker), which train() charges for in-process training. Each
+  /// update's own FLOPs are charged by uplink(), in consumption order, so
+  /// a wrapper that bypasses train() charges only this.
   void add_flops(double flops) { cum_flops_ += flops; }
 
   /// Historical local model of a client (nullptr before first

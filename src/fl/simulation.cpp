@@ -347,45 +347,38 @@ std::vector<ClientUpdate> Simulation::train_shard(
 
 std::vector<ClientUpdate> Simulation::train_shard_virtual(
     const std::vector<ShardWork>& work, double* pre_round_flops) {
+  // Virtual mode requires a remote-trainable algorithm, whose pre_round is
+  // the stateless 0.0 default (cohort-coupled pre-rounds imply
+  // remote_trainable() false), so there is no pre-round phase to run.
   *pre_round_flops = 0.0;
   obs::Tracer* const tr = tracer_;
   std::vector<ClientUpdate> updates(work.size());
   for (std::size_t start = 0; start < work.size();
        start += virtual_chunk_) {
     const std::size_t end = std::min(work.size(), start + virtual_chunk_);
-    // Materialize this chunk's clients (shard + model + optimizer); all of
-    // it is released when `active` goes out of scope, so peak client state
-    // is O(chunk) however large the dispatch batch or the population.
-    std::vector<TransientClient> active;
-    active.reserve(end - start);
-    std::vector<ClientContext> contexts;
-    contexts.reserve(end - start);
-    for (std::size_t i = start; i < end; ++i) {
-      const auto& wk = work[i];
-      active.push_back(materialize_client(wk.d.client_id));
-      ClientContext ctx;
-      ctx.round = wk.d.round;
-      ctx.client = active.back().client.get();
-      ctx.global_params = wk.d.params.get();
-      ctx.history = wk.history;
-      ctx.model_factory = &model_factory_;
-      ctx.local_epochs = config_.local_epochs;
-      ctx.rng = root_rng_.split(wk.d.train_key);
-      contexts.push_back(std::move(ctx));
-    }
-    // Chunked pre_round is exact because virtual mode requires
-    // remote-trainable algorithms, whose pre_round is the stateless 0.0
-    // default (cohort-coupled pre-rounds imply remote_trainable() false).
-    *pre_round_flops += algorithm_->pre_round(contexts);
     parallel_for(
-        0, contexts.size(),
+        start, end,
         [&](std::size_t i) {
+          const auto& wk = work[i];
+          // The client (shard + model + optimizer) is built on the thread
+          // that trains it and released right after, so at most
+          // min(chunk, training threads) clients are alive at once,
+          // however large the dispatch batch or the population.
+          TransientClient active = materialize_client(wk.d.client_id);
+          ClientContext ctx;
+          ctx.round = wk.d.round;
+          ctx.client = active.client.get();
+          ctx.global_params = wk.d.params.get();
+          ctx.history = wk.history;
+          ctx.model_factory = &model_factory_;
+          ctx.local_epochs = config_.local_epochs;
+          ctx.rng = root_rng_.split(wk.d.train_key);
           obs::WallSpan span(
               tr, "train_shard",
-              {{"client", static_cast<double>(contexts[i].client->id())},
-               {"round", static_cast<double>(contexts[i].round)}});
-          updates[start + i] = algorithm_->train_client(contexts[i]);
-          updates[start + i].client_id = contexts[i].client->id();
+              {{"client", static_cast<double>(wk.d.client_id)},
+               {"round", static_cast<double>(wk.d.round)}});
+          updates[i] = algorithm_->train_client(ctx);
+          updates[i].client_id = wk.d.client_id;
         },
         training_pool());
   }
@@ -395,7 +388,8 @@ std::vector<ClientUpdate> Simulation::train_shard_virtual(
 RunResult Simulation::run() { return run_with_host(nullptr); }
 
 RunResult Simulation::run_with_host(const HostWrapper& wrap) {
-  auto scheduler = sched::make_scheduler(config_.sched);
+  auto scheduler =
+      sched::make_scheduler(config_.sched, algorithm_->remote_trainable());
 
   RunResult result;
   init_result(&result);

@@ -186,15 +186,16 @@ class Simulation {
   /// Shared head of run()/run_reference(): partition stats, model FLOPs.
   void init_result(RunResult* result) const;
 
-  /// train_shard for client_data == "virtual": materialize each chunk's
-  /// clients from the synthesizer, train, release — O(chunk) peak client
-  /// state, bit-identical to the materialized path.
+  /// train_shard for client_data == "virtual": each client is built from
+  /// the synthesizer on the training thread that trains it, then released;
+  /// groups of virtual_chunk_ dispatches keep at most min(chunk, training
+  /// threads) alive at once. Bit-identical to the materialized path.
   std::vector<ClientUpdate> train_shard_virtual(
       const std::vector<ShardWork>& work, double* pre_round_flops);
 
   /// A transient client for one virtual-mode dispatch: the shard dataset
   /// must outlive the Client (its DataLoader holds a reference), and both
-  /// are dropped together when the chunk completes.
+  /// are dropped together once the dispatch has trained.
   struct TransientClient {
     std::unique_ptr<data::Dataset> shard;
     std::unique_ptr<Client> client;

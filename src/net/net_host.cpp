@@ -410,12 +410,10 @@ std::vector<fl::ClientUpdate> NetHost::train(
     }
   }
 
-  // Same accounting order as the in-process path: pre-round first, then
-  // each update in batch order, whatever order the results arrived in
-  // (pre-round is exactly 0.0 for every remote-trainable method, so the
-  // frame-wise sum changes nothing).
+  // The in-process train() charges only the pre-round FLOPs, and so does
+  // this (exactly 0.0 for every remote-trainable method, so the frame-wise
+  // sum changes nothing); each update's FLOPs are charged at its uplink.
   inner_.add_flops(pre_round_flops);
-  for (const auto& u : updates) inner_.add_flops(u.flops);
 
   if (metrics_ != nullptr && metrics_->due()) {
     span.end();  // the stats poll is not part of the batch RPC

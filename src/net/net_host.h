@@ -31,9 +31,9 @@
 //     mid-loop. The run fails only when a job exhausts its attempts or
 //     the whole fleet is gone.
 //
-// FLOPs accounting mirrors the in-process order exactly: the summed
-// pre-round FLOPs first, then each update's FLOPs in batch order, however
-// the results arrived.
+// FLOPs accounting mirrors the in-process host: train() charges the summed
+// pre-round FLOPs, and the wrapped RoundHost's uplink() charges each
+// update's FLOPs in consumption order, however the results arrived.
 #pragma once
 
 #include <chrono>

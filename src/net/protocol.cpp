@@ -34,11 +34,6 @@ std::string read_string(WireReader& r) {
   return s;
 }
 
-void write_f32_vec(WireWriter& w, const std::vector<float>& v) {
-  w.u64(v.size());
-  for (float x : v) w.f32(x);
-}
-
 std::vector<float> read_f32_vec(WireReader& r) {
   const std::uint64_t n = r.u64();
   if (n > r.remaining() / 4) {

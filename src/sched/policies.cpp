@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
+#include <functional>
 #include <stdexcept>
 #include <tuple>
 
@@ -14,6 +14,8 @@ namespace fedtrip::sched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kEpsilon = std::numeric_limits<double>::epsilon();
+constexpr std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
 
 // Cap on "wait for a client to come back online" retry loops: with fresh
 // selection draws every attempt this is unreachable unless the availability
@@ -306,8 +308,16 @@ void FastKScheduler::run(Host& host) {
 // Shared machinery of the two event-driven policies: a Flight is one
 // dispatched unit of work, a FlightDeck owns the in-flight bookkeeping
 // (dispatch construction, arrival-time prediction with the churn-drop
-// clamp, the busy/queue invariants), and both policies drain the same
-// event heap.
+// clamp, the busy/queue invariants, training), and both policies drain the
+// same event heap.
+//
+// Lookahead: when an untrained flight pops, the deck can train with it
+// every other live flight the run is certain to consume, in one
+// Host::train call. That is exact only when train_client is a pure
+// function of its context (FederatedAlgorithm::remote_trainable()): a
+// dispatch's update then depends only on its snapshot, shard, train key
+// and the client's history entry, and a busy client's entry cannot change
+// while it flies. Each policy decides which flights are certain.
 
 namespace {
 
@@ -316,6 +326,8 @@ struct Flight {
   /// Server rounds completed at dispatch time; staleness at aggregation is
   /// (rounds completed then) - version.
   std::size_t version = 0;
+  /// `update` holds the result: the flight trained when it popped, or
+  /// earlier, together with the flight that did.
   bool trained = false;
   /// The client churned offline before the upload would have completed:
   /// the work is lost and the event time is the drop instant (when the
@@ -358,6 +370,22 @@ class FlightDeck {
   /// flights that would otherwise be lost to churn — and it runs before
   /// the broadcast, so no downlink bytes are spent on them.
   void set_skip_doomed(bool on) { skip_doomed_ = on; }
+
+  /// Lower bound on the virtual seconds from any dispatch to its arrival:
+  /// the minimum over all clients of the arrival-time arithmetic in
+  /// dispatch(), with the data-independent byte predictions (equal to the
+  /// actual broadcast bytes for every codec). One O(clients) scan.
+  double min_round_trip() const {
+    const double server_s =
+        host_.network().server_seconds(down_bytes_pred_ + up_bytes_);
+    double m = kInf;
+    for (std::size_t c = 0; c < host_.num_clients(); ++c) {
+      m = std::min(m, host_.network().client_seconds(c, down_bytes_pred_,
+                                                     up_bytes_) +
+                          server_s + host_.compute_seconds(c));
+    }
+    return m;
+  }
 
   std::size_t in_flight() const { return in_flight_; }
   /// In-flight dispatches that will actually arrive (excludes flights
@@ -439,15 +467,17 @@ class FlightDeck {
         if (f.lost) tr->count("sched.lost_to_churn");
       }
       flights_.push_back(std::move(f));
-      queue_.emplace(event_time, c, flights_.size() - 1);
+      queue_.emplace_back(event_time, c, flights_.size() - 1);
+      std::push_heap(queue_.begin(), queue_.end(), std::greater<Event>());
     }
   }
 
   /// Pops the next event (arrival or churn-drop) and frees its slot.
   /// Returns the flight index; writes the event's virtual time.
   std::size_t pop(double* event_time) {
-    const auto [time, client, idx] = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<Event>());
+    const auto [time, client, idx] = queue_.back();
+    queue_.pop_back();
     busy_[client] = false;
     --in_flight_;
     if (flights_[idx].lost) --lost_in_flight_;
@@ -456,11 +486,46 @@ class FlightDeck {
   }
 
   /// Virtual time of the next event without popping it.
-  double next_event_time() const { return std::get<0>(queue_.top()); }
+  double next_event_time() const { return std::get<0>(queue_.front()); }
+
+  /// Indices of the in-flight live flights due before `bound` (at or
+  /// before it when `inclusive`), in pop order, at most `cap` of them.
+  /// When an untrained flight pops, none of them has trained: a flight
+  /// trained ahead is due before every flight still untrained after that
+  /// call, so it has popped already.
+  std::vector<std::size_t> live_before(double bound, bool inclusive,
+                                       std::size_t cap) const {
+    std::vector<Event> due;
+    for (const Event& e : queue_) {
+      const auto& [time, client, idx] = e;
+      if (!flights_[idx].lost && (inclusive ? time <= bound : time < bound)) {
+        due.push_back(e);
+      }
+    }
+    std::sort(due.begin(), due.end());  // pop order
+    due.resize(std::min(due.size(), cap));
+    std::vector<std::size_t> flights;
+    for (const auto& [time, client, idx] : due) flights.push_back(idx);
+    return flights;
+  }
+
+  /// Trains the popped flight `idx` together with the flights `ahead` in
+  /// one Host::train call and stores each update in its flight.
+  void train(std::size_t idx, const std::vector<std::size_t>& ahead) {
+    std::vector<Dispatch> batch{flights_[idx].d};
+    for (std::size_t a : ahead) batch.push_back(flights_[a].d);
+    auto updates = host_.train(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      Flight& f = flights_[i == 0 ? idx : ahead[i - 1]];
+      f.update = std::move(updates[i]);
+      f.trained = true;
+    }
+  }
 
  private:
   // Min-heap of (event virtual seconds, client id, flight index): the id
-  // tie-break makes the event trace a pure function of the links.
+  // tie-break makes the event trace a pure function of the links. Every
+  // key is unique, so pop order is the keys' sorted order.
   using Event = std::tuple<double, std::size_t, std::size_t>;
 
   Host& host_;
@@ -473,7 +538,7 @@ class FlightDeck {
   std::size_t in_flight_ = 0;
   std::size_t lost_in_flight_ = 0;
   std::size_t seq_ = 0;  // unique dispatch counter (keys RNG streams)
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  std::vector<Event> queue_;  // heap under std::greater<Event>
 };
 
 }  // namespace
@@ -494,6 +559,9 @@ void AsyncScheduler::run(Host& host) {
   };
 
   dispatch(concurrency, 0.0);
+  // No dispatch made at or after the clock arrives within min_rtt of it.
+  // Scanned after the first dispatch, so set-up ends at the first select.
+  const double min_rtt = train_ahead_ ? deck.min_round_trip() : 0.0;
 
   std::vector<fl::ClientUpdate> buffer;
   buffer.reserve(buffer_size);
@@ -525,7 +593,8 @@ void AsyncScheduler::run(Host& host) {
     }
     starve = 0;
     double event_time = 0.0;
-    Flight& f = deck.flight(deck.pop(&event_time));
+    const std::size_t idx = deck.pop(&event_time);
+    Flight& f = deck.flight(idx);
     clock = std::max(clock, event_time);
 
     if (f.lost) {
@@ -551,15 +620,23 @@ void AsyncScheduler::run(Host& host) {
     consecutive_lost = 0;
 
     if (!f.trained) {
-      // Each dispatch trains as its own unit batch: the algorithm's
+      // Train ahead every live flight due before clock + min_rtt: each pops
+      // before any later dispatch can arrive, and the cap at the arrivals
+      // the run still needs (this one included) means each is consumed.
+      // The horizon is shrunk by more than rounding can lower an arrival's
+      // sum, so a flight exactly at the horizon waits for its own pop.
+      // Without train_ahead_ the flight trains as its own unit batch: the
       // pre-round phase sees exactly one client, so cohort-coupled
       // corrections (FedDANE's gradient averaging) consistently degenerate
-      // to the solo client — async has no round cohort — instead of
-      // varying with whichever dispatches happen to be outstanding.
-      std::vector<Dispatch> batch{f.d};
-      auto updates = host.train(batch);
-      f.update = std::move(updates[0]);
-      f.trained = true;
+      // to the solo client, as async has no round cohort.
+      std::vector<std::size_t> ahead;
+      if (train_ahead_) {
+        const double horizon = (clock + min_rtt) * (1.0 - 8.0 * kEpsilon);
+        const std::size_t consumed = version * buffer_size + buffer.size();
+        ahead = deck.live_before(horizon, /*inclusive=*/false,
+                                 rounds * buffer_size - consumed - 1);
+      }
+      deck.train(idx, ahead);
     }
 
     host.uplink(f.update, f.d.up_key, *f.d.params, version + 1);
@@ -716,7 +793,8 @@ void DeadlineScheduler::run(Host& host) {
       }
       if (deck.next_event_time() > close_target && !harvest.empty()) break;
       double event_time = 0.0;
-      Flight& f = deck.flight(deck.pop(&event_time));
+      const std::size_t idx = deck.pop(&event_time);
+      Flight& f = deck.flight(idx);
       clock = std::max(clock, event_time);
 
       if (f.lost) {
@@ -737,12 +815,18 @@ void DeadlineScheduler::run(Host& host) {
       }
       consecutive_lost = 0;
 
-      // A flight pops exactly once here: train it (stragglers' compute was
-      // already charged into their event time), uplink at the aggregation
-      // round, and weight by the staleness discount.
-      std::vector<Dispatch> batch{f.d};
-      auto updates = host.train(batch);
-      fl::ClientUpdate update = std::move(updates[0]);
+      // A flight pops exactly once here: train it unless it already was
+      // (stragglers' compute was already charged into their event time),
+      // uplink at the aggregation round, and weight by the staleness
+      // discount. Every live flight due by close_target pops in this round,
+      // so with pure training they all train in this one call.
+      if (!f.trained) {
+        deck.train(idx, train_ahead_
+                            ? deck.live_before(close_target,
+                                               /*inclusive=*/true, kNoCap)
+                            : std::vector<std::size_t>{});
+      }
+      fl::ClientUpdate update = std::move(f.update);
       host.uplink(update, f.d.up_key, *f.d.params, t);
       f.d.params.reset();
 

@@ -39,14 +39,23 @@ class FastKScheduler : public Scheduler {
 /// with; the server aggregates every B arrivals with staleness-discounted
 /// weights 1/(1+s)^a, then refills the freed slot with a fresh dispatch of
 /// the *new* global model. One aggregation == one server round.
+///
+/// With `train_ahead` (the algorithm is remote-trainable: its training is
+/// a pure function of the dispatch), the flight that pops untrained trains
+/// in one Host::train call with every in-flight arrival certain to come
+/// before any later dispatch's, up to the arrivals the run still needs.
+/// Otherwise each flight trains as its own unit batch when it pops. The
+/// outputs are the same bits either way.
 class AsyncScheduler : public Scheduler {
  public:
-  explicit AsyncScheduler(const SchedConfig& config) : config_(config) {}
+  AsyncScheduler(const SchedConfig& config, bool train_ahead)
+      : config_(config), train_ahead_(train_ahead) {}
   std::string name() const override { return "async"; }
   void run(Host& host) override;
 
  private:
   SchedConfig config_;
+  bool train_ahead_;
 };
 
 /// Semi-synchronous deadline hybrid: K clients are kept in flight; every
@@ -56,9 +65,14 @@ class AsyncScheduler : public Scheduler {
 /// flight and fold into the round they arrive in, weighted by the async
 /// staleness discount 1/(1+s)^a. T defaults to 1.5x the median predicted
 /// per-client round-trip + compute time (SchedConfig::deadline_s = 0).
+///
+/// With `train_ahead` (as for AsyncScheduler), the first untrained flight
+/// to pop in a round trains in one Host::train call with every live flight
+/// due by the round's deadline, since all of them pop in that round.
 class DeadlineScheduler : public Scheduler {
  public:
-  explicit DeadlineScheduler(const SchedConfig& config) : config_(config) {}
+  DeadlineScheduler(const SchedConfig& config, bool train_ahead)
+      : config_(config), train_ahead_(train_ahead) {}
   std::string name() const override { return "deadline"; }
   void run(Host& host) override;
 
@@ -68,6 +82,7 @@ class DeadlineScheduler : public Scheduler {
 
  private:
   SchedConfig config_;
+  bool train_ahead_;
 };
 
 }  // namespace fedtrip::sched

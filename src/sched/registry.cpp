@@ -6,16 +6,17 @@
 
 namespace fedtrip::sched {
 
-SchedulerPtr make_scheduler(const SchedConfig& config) {
+SchedulerPtr make_scheduler(const SchedConfig& config,
+                            bool remote_trainable) {
   if (config.policy == "sync") return std::make_unique<SyncScheduler>();
   if (config.policy == "fastk") {
     return std::make_unique<FastKScheduler>(config);
   }
   if (config.policy == "async") {
-    return std::make_unique<AsyncScheduler>(config);
+    return std::make_unique<AsyncScheduler>(config, remote_trainable);
   }
   if (config.policy == "deadline") {
-    return std::make_unique<DeadlineScheduler>(config);
+    return std::make_unique<DeadlineScheduler>(config, remote_trainable);
   }
   throw std::invalid_argument("unknown schedule policy: " + config.policy);
 }

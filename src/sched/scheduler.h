@@ -156,16 +156,20 @@ class Host {
       std::size_t* wire_bytes) = 0;
 
   /// Trains every dispatch in `batch` (algorithm pre-round phase, then
-  /// parallel local training; FLOPs are accounted). Updates align with the
-  /// batch.
+  /// parallel local training) and accounts the pre-round FLOPs. Updates
+  /// align with the batch; each carries its own FLOPs, which uplink()
+  /// charges.
   virtual std::vector<fl::ClientUpdate> train(
       const std::vector<Dispatch>& batch) = 0;
 
   /// Sends one update through the uplink stream keyed by `key`, replacing
-  /// its params with what the server decodes; accounts wire bytes and the
-  /// update's upload extras; stores the client's own (pre-transmit) model
-  /// in the history store for `round`. Returns per-copy wire bytes
-  /// (excluding extras).
+  /// its params with what the server decodes; accounts wire bytes, the
+  /// update's upload extras and its FLOPs; stores the client's own
+  /// (pre-transmit) model in the history store for `round`. Returns
+  /// per-copy wire bytes (excluding extras). FLOPs are charged here, in
+  /// consumption order, not when the update trained, so training ahead of
+  /// an arrival leaves earlier rounds' cumulative GFLOPs unchanged; a
+  /// policy uplinks every trained update exactly once.
   virtual std::size_t uplink(fl::ClientUpdate& update, std::uint64_t key,
                              const std::vector<float>& sent_from,
                              std::size_t round) = 0;

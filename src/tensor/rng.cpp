@@ -70,10 +70,55 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
   return idx;
 }
 
+namespace {
+
+// The partial Fisher-Yates shuffle of Rng::sample_without_replacement over
+// a sparse map: a position never swapped still holds its own index, so
+// only displaced positions are stored — in an open-addressing table
+// (linear probing, Fibonacci hashing) of at least 2k slots, O(k) instead
+// of filling all n. Out of line, so the dense path's code does not
+// depend on it.
+[[gnu::noinline]] std::vector<std::size_t> sample_sparse(Rng& rng,
+                                                         std::size_t n,
+                                                         std::size_t k) {
+  constexpr std::size_t kFree = ~std::size_t{0};
+  struct Slot {
+    std::size_t pos = kFree;
+    std::size_t value = 0;
+  };
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 2 * k) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<Slot> table(mask + 1);
+  const auto slot = [&](std::size_t p) -> Slot& {
+    std::size_t h = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(p) * 0x9E3779B97F4A7C15ull) >>
+        (64 - bits));
+    while (table[h].pos != kFree && table[h].pos != p) h = (h + 1) & mask;
+    return table[h];
+  };
+  std::vector<std::size_t> out;
+  out.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + rng.uniform_int(n - i);
+    const Slot& at_i = slot(i);
+    const std::size_t held = at_i.pos == kFree ? i : at_i.value;
+    Slot& at_j = slot(j);
+    out.push_back(at_j.pos == kFree ? j : at_j.value);
+    at_j = Slot{j, held};
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   assert(k <= n);
-  // Partial Fisher-Yates: only the first k positions are materialised.
+  // Partial Fisher-Yates over the identity array [0, n): step i swaps
+  // position i with a uniform position j in [i, n) and emits position i,
+  // which no later step reads. Both paths make the same draws and swaps.
+  if (k < n / kSparseSampleRatio) return sample_sparse(*this, n, k);
   std::vector<std::size_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;
   for (std::size_t i = 0; i < k; ++i) {

@@ -93,9 +93,14 @@ class Rng {
     }
   }
 
-  /// Samples k distinct indices uniformly from [0, n) (k <= n).
+  /// Samples k distinct indices uniformly from [0, n) (k <= n): a partial
+  /// Fisher-Yates shuffle, in draw order. Below k = n / kSparseSampleRatio
+  /// only the displaced positions are stored (O(k)); otherwise all n are.
+  /// Both paths give the same indices and leave the stream in the same
+  /// state.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
+  static constexpr std::size_t kSparseSampleRatio = 32;
 
  private:
   std::uint64_t state_[4]{};

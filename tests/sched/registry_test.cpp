@@ -9,11 +9,13 @@ namespace {
 
 TEST(SchedRegistryTest, MakesEveryRegisteredPolicy) {
   for (const auto& name : all_policies()) {
-    SchedConfig cfg;
-    cfg.policy = name;
-    auto scheduler = make_scheduler(cfg);
-    ASSERT_NE(scheduler, nullptr);
-    EXPECT_EQ(scheduler->name(), name);
+    for (const bool remote_trainable : {false, true}) {
+      SchedConfig cfg;
+      cfg.policy = name;
+      auto scheduler = make_scheduler(cfg, remote_trainable);
+      ASSERT_NE(scheduler, nullptr);
+      EXPECT_EQ(scheduler->name(), name);
+    }
   }
 }
 
@@ -26,7 +28,7 @@ TEST(SchedRegistryTest, SyncIsFirstAndDefault) {
 TEST(SchedRegistryTest, UnknownPolicyThrows) {
   SchedConfig cfg;
   cfg.policy = "semiasync";
-  EXPECT_THROW(make_scheduler(cfg), std::invalid_argument);
+  EXPECT_THROW(make_scheduler(cfg, false), std::invalid_argument);
 }
 
 TEST(SchedConfigTest, TransparentDefaults) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace fedtrip {
 namespace {
@@ -155,6 +157,36 @@ TEST(RngTest, SampleWithoutReplacementFull) {
   auto sample = rng.sample_without_replacement(10, 10);
   std::set<std::size_t> seen(sample.begin(), sample.end());
   EXPECT_EQ(seen.size(), 10u);
+}
+
+// The dense partial Fisher-Yates loop, frozen as the reference both paths
+// of sample_without_replacement must reproduce.
+std::vector<std::size_t> dense_sample_reference(Rng& rng, std::size_t n,
+                                                std::size_t k) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    std::size_t j = i + rng.uniform_int(n - i);
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesTheDenseLoop) {
+  for (const std::size_t n : {1, 2, 15, 16, 17, 100, 100000}) {
+    const std::size_t cut = n / Rng::kSparseSampleRatio;
+    std::set<std::size_t> ks = {0, 1, cut, cut + 1, n / 2, n};
+    if (cut > 0) ks.insert(cut - 1);
+    for (const std::size_t k : ks) {
+      if (k > n) continue;
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      Rng fast(n * 31 + k), reference(n * 31 + k);
+      EXPECT_EQ(fast.sample_without_replacement(n, k),
+                dense_sample_reference(reference, n, k));
+      EXPECT_EQ(fast.next_u64(), reference.next_u64());
+    }
+  }
 }
 
 TEST(RngTest, SampleWithoutReplacementUniform) {
