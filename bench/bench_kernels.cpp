@@ -3,6 +3,8 @@
 // the paper's Table V/VIII accounting, and test-set evaluation.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "algorithms/fedtrip.h"
 #include "fl/simulation.h"
 #include "nn/conv2d.h"
@@ -170,17 +172,18 @@ void BM_Evaluate(benchmark::State& state) {
   cfg.rounds = 1;
   cfg.batch_size = 15;
   cfg.workers = 4;
-  fl::Simulation sim(cfg, std::make_unique<algorithms::FedTrip>(0.4f));
-  std::vector<float> params = sim.run().final_params;
+  std::optional<fl::Simulation> sim;
+  sim.emplace(cfg, std::make_unique<algorithms::FedTrip>(0.4f));
+  std::vector<float> params = sim->run().final_params;
   if (state.range(0) == 0) {
-    sim = fl::Simulation(cfg, std::make_unique<algorithms::FedTrip>(0.4f));
+    sim.emplace(cfg, std::make_unique<algorithms::FedTrip>(0.4f));
   }
   for (auto _ : state) {
-    double acc = sim.evaluate(params);
+    double acc = sim->evaluate(params);
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sim.test_data().size()));
+                          static_cast<std::int64_t>(sim->test_data().size()));
 }
 BENCHMARK(BM_Evaluate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 

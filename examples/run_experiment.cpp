@@ -147,10 +147,6 @@ int main(int argc, char** argv) {
        [&](const char* v) {
          cfg.shard_samples = static_cast<std::size_t>(std::atoll(v));
        }},
-      {"--virtual-chunk",
-       [&](const char* v) {
-         cfg.virtual_chunk = static_cast<std::size_t>(std::atoll(v));
-       }},
       {"--no-participation",
        [&](const char*) { cfg.track_participation = false; }},
       {"--no-partition-stats",

@@ -29,7 +29,8 @@ class FedDane : public GradientAdjustingAlgorithm {
     avg_grad_.assign(param_dim, 0.0f);
   }
 
-  double pre_round(std::vector<fl::ClientContext>& contexts) override;
+  double pre_round(std::vector<fl::ClientContext>& contexts,
+                   fl::WorkspacePool& workspaces) override;
 
   std::size_t extra_downlink_floats(std::size_t param_dim) const override {
     return param_dim;  // averaged gradient broadcast

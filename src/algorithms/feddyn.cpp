@@ -8,7 +8,7 @@ double FedDyn::adjust_gradients(std::vector<float>& delta,
                                 const std::vector<float>& w,
                                 const fl::ClientContext& ctx) {
   const std::vector<float>& wg = *ctx.global_params;
-  const std::vector<float>& gk = grad_memory_[ctx.client->id()];
+  const std::vector<float>& gk = grad_memory_[ctx.client_id];
   const std::size_t n = w.size();
   for (std::size_t i = 0; i < n; ++i) {
     delta[i] = -gk[i] + alpha_ * (w[i] - wg[i]);
@@ -21,7 +21,7 @@ void FedDyn::on_round_end(const std::vector<float>& final_params,
                           fl::ClientUpdate& /*update*/) {
   // g_k <- g_k - alpha (w_k - w_global). Safe under parallel clients: each
   // client touches only its own slot.
-  auto& gk = grad_memory_[ctx.client->id()];
+  auto& gk = grad_memory_[ctx.client_id];
   const std::vector<float>& wg = *ctx.global_params;
   const std::size_t n = gk.size();
   for (std::size_t i = 0; i < n; ++i) {

@@ -7,10 +7,10 @@ namespace fedtrip::algorithms {
 
 fl::ClientUpdate GradientAdjustingAlgorithm::train_client(
     fl::ClientContext& ctx) {
-  fl::Client& client = *ctx.client;
-  nn::Sequential& model = client.model();
+  fl::Workspace& ws = *ctx.workspace;
+  nn::Sequential& model = ws.model();
   nn::load_parameters(model, *ctx.global_params);
-  client.optimizer().reset();
+  ws.optimizer().reset();
   on_round_start(ctx);
 
   nn::SoftmaxCrossEntropy ce;
@@ -21,7 +21,7 @@ fl::ClientUpdate GradientAdjustingAlgorithm::train_client(
   std::vector<float> delta(ctx.global_params->size());
 
   for (std::size_t epoch = 0; epoch < ctx.local_epochs; ++epoch) {
-    for (auto& batch : client.loader().epoch(ctx.rng)) {
+    for (auto& batch : ctx.loader->epoch(ctx.rng)) {
       Tensor logits = model.forward(batch.inputs, /*train=*/true);
       loss_sum += ce.forward(logits, batch.labels);
       model.zero_grad();
@@ -36,15 +36,15 @@ fl::ClientUpdate GradientAdjustingAlgorithm::train_client(
         flops += adjust_gradients(delta, w_scratch, ctx);
         nn::add_to_gradients(model, delta);
       }
-      client.optimizer().step(model);
+      ws.optimizer().step(model);
       ++steps;
     }
   }
 
   fl::ClientUpdate update;
-  update.client_id = client.id();
+  update.client_id = ctx.client_id;
   update.params = nn::flatten_parameters(model);
-  update.num_samples = client.num_samples();
+  update.num_samples = ctx.loader->size();
   update.train_loss = steps > 0 ? loss_sum / static_cast<double>(steps) : 0.0;
   update.flops = flops;
   on_round_end(update.params, steps, ctx, update);

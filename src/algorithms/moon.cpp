@@ -46,16 +46,16 @@ double cosine(const float* x, const float* y, std::size_t dim) {
 }  // namespace
 
 fl::ClientUpdate Moon::train_client(fl::ClientContext& ctx) {
-  fl::Client& client = *ctx.client;
-  nn::Sequential& model = client.model();
+  fl::Workspace& ws = *ctx.workspace;
+  nn::Sequential& model = ws.model();
   nn::load_parameters(model, *ctx.global_params);
-  client.optimizer().reset();
+  ws.optimizer().reset();
 
   // Frozen representation models: global, and the client's previous local
   // model (falls back to the global model before first participation, which
   // makes l_con constant and gradient-free, i.e. plain FedAvg behaviour).
-  nn::Sequential& glob = client.aux_model(0, *ctx.model_factory);
-  nn::Sequential& hist = client.aux_model(1, *ctx.model_factory);
+  nn::Sequential& glob = ws.aux_model(0);
+  nn::Sequential& hist = ws.aux_model(1);
   nn::load_parameters(glob, *ctx.global_params);
   nn::load_parameters(hist, ctx.history != nullptr ? ctx.history->params
                                                    : *ctx.global_params);
@@ -66,7 +66,7 @@ fl::ClientUpdate Moon::train_client(fl::ClientContext& ctx) {
   std::size_t steps = 0;
 
   for (std::size_t epoch = 0; epoch < ctx.local_epochs; ++epoch) {
-    for (auto& batch : client.loader().epoch(ctx.rng)) {
+    for (auto& batch : ctx.loader->epoch(ctx.rng)) {
       const std::size_t batch_n = batch.labels.size();
 
       Tensor z = model.forward_features(batch.inputs, /*train=*/true);
@@ -107,7 +107,7 @@ fl::ClientUpdate Moon::train_client(fl::ClientContext& ctx) {
       // Base training pass + 2 extra frozen feedforwards (1 + p, p = 1).
       flops += static_cast<double>(batch_n) * (fp + bp + 2.0 * fp);
 
-      client.optimizer().step(model);
+      ws.optimizer().step(model);
       loss_sum += ce_loss +
                   mu_ * con_loss / static_cast<double>(batch_n);
       ++steps;
@@ -115,9 +115,9 @@ fl::ClientUpdate Moon::train_client(fl::ClientContext& ctx) {
   }
 
   fl::ClientUpdate update;
-  update.client_id = client.id();
+  update.client_id = ctx.client_id;
   update.params = nn::flatten_parameters(model);
-  update.num_samples = client.num_samples();
+  update.num_samples = ctx.loader->size();
   update.train_loss = steps > 0 ? loss_sum / static_cast<double>(steps) : 0.0;
   update.flops = flops;
   return update;

@@ -8,7 +8,7 @@ double Scaffold::adjust_gradients(std::vector<float>& delta,
                                   const std::vector<float>& w,
                                   const fl::ClientContext& ctx) {
   (void)w;
-  const auto& ck = c_clients_[ctx.client->id()];
+  const auto& ck = c_clients_[ctx.client_id];
   const std::size_t n = delta.size();
   for (std::size_t i = 0; i < n; ++i) delta[i] = c_server_[i] - ck[i];
   return 2.0 * static_cast<double>(n);
@@ -18,7 +18,7 @@ void Scaffold::on_round_end(const std::vector<float>& final_params,
                             std::size_t steps, fl::ClientContext& ctx,
                             fl::ClientUpdate& update) {
   if (steps == 0) return;
-  auto& ck = c_clients_[ctx.client->id()];
+  auto& ck = c_clients_[ctx.client_id];
   const std::vector<float>& wg = *ctx.global_params;
   const std::size_t n = ck.size();
   const float inv = 1.0f / (static_cast<float>(steps) * client_lr_);

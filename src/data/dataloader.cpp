@@ -1,8 +1,15 @@
 #include "data/dataloader.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace fedtrip::data {
+
+DataLoader::DataLoader(const Dataset& dataset, std::size_t batch_size)
+    : DataLoader(dataset, std::vector<std::size_t>(dataset.size()),
+                 batch_size) {
+  std::iota(indices_.begin(), indices_.end(), std::size_t{0});
+}
 
 std::vector<Batch> DataLoader::epoch(Rng& rng) const {
   std::vector<std::size_t> order = indices_;
@@ -22,9 +29,11 @@ std::vector<Batch> DataLoader::epoch(Rng& rng) const {
   return batches;
 }
 
-Batch DataLoader::all() const {
-  return Batch{dataset_->make_batch(indices_),
-               dataset_->make_batch_labels(indices_)};
+Batch DataLoader::slice(std::size_t begin, std::size_t end) const {
+  const std::vector<std::size_t> chunk(
+      indices_.begin() + static_cast<std::ptrdiff_t>(begin),
+      indices_.begin() + static_cast<std::ptrdiff_t>(end));
+  return Batch{dataset_->make_batch(chunk), dataset_->make_batch_labels(chunk)};
 }
 
 }  // namespace fedtrip::data

@@ -23,6 +23,8 @@ class DataLoader {
       : dataset_(&dataset),
         indices_(std::move(indices)),
         batch_size_(batch_size) {}
+  /// Every sample of `dataset`, in order (a client's own shard).
+  DataLoader(const Dataset& dataset, std::size_t batch_size);
 
   std::size_t size() const { return indices_.size(); }
   std::size_t batch_size() const { return batch_size_; }
@@ -36,8 +38,8 @@ class DataLoader {
   /// Produces one epoch of shuffled batches using `rng` for the permutation.
   std::vector<Batch> epoch(Rng& rng) const;
 
-  /// The whole subset as a single batch (used for evaluation).
-  Batch all() const;
+  /// Samples [begin, end) of the subset, in index order, as one batch.
+  Batch slice(std::size_t begin, std::size_t end) const;
 
  private:
   const Dataset* dataset_;

@@ -16,10 +16,10 @@
 #include <string>
 #include <vector>
 
-#include "fl/client.h"
+#include "data/dataloader.h"
 #include "fl/history.h"
 #include "fl/types.h"
-#include "nn/models.h"
+#include "fl/workspace.h"
 #include "optim/optimizer.h"
 #include "tensor/rng.h"
 
@@ -28,10 +28,11 @@ namespace fedtrip::fl {
 /// Everything a client needs for one round of local training.
 struct ClientContext {
   std::size_t round = 0;  // t, 1-based
-  Client* client = nullptr;
+  std::size_t client_id = 0;
+  const data::DataLoader* loader = nullptr;
   const std::vector<float>* global_params = nullptr;
   const HistoryEntry* history = nullptr;  // nullptr before first participation
-  const nn::ModelFactory* model_factory = nullptr;
+  Workspace* workspace = nullptr;  // train_client only
   std::size_t local_epochs = 1;
   /// Deterministic per-(trial, round, client) stream.
   Rng rng;
@@ -57,15 +58,19 @@ class FederatedAlgorithm {
 
   /// Optional extra phase before local training (FedDANE). Contexts cover
   /// the selected clients; implementations may run forward/backward passes
-  /// and must record their FLOPs via the returned value (FLOPs per client,
-  /// summed by the engine into the round cost).
-  virtual double pre_round(std::vector<ClientContext>& contexts) {
+  /// in workspaces checked out of `workspaces` (one per task, returned when
+  /// the task ends) and must record their FLOPs via the returned value
+  /// (FLOPs per client, summed by the engine into the round cost).
+  virtual double pre_round(std::vector<ClientContext>& contexts,
+                           WorkspacePool& workspaces) {
     (void)contexts;
+    (void)workspaces;
     return 0.0;
   }
 
-  /// Local training of one client. Must be thread-safe across distinct
-  /// clients (per-client algorithm state only).
+  /// Local training of one client in ctx.workspace, which it must start
+  /// from ctx.global_params with a reset optimizer. Must be thread-safe
+  /// across distinct clients (per-client algorithm state only).
   virtual ClientUpdate train_client(ClientContext& ctx) = 0;
 
   /// Server aggregation: combines updates into `global`. Default: Eq 2,

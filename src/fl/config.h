@@ -25,25 +25,22 @@ struct ExperimentConfig {
   double data_scale = 1.0;
   data::Heterogeneity heterogeneity = data::Heterogeneity::kDir05;
 
-  /// Client-data ownership (docs/ARCHITECTURE.md, "Virtual shards"):
+  /// Where client training data lives (docs/ARCHITECTURE.md, "Client data
+  /// modes"); models are the engine's workspaces in every mode.
   ///   "pool"    legacy default — one shared synthetic pool split by the
-  ///             configured partitioner, every client materialized up front;
+  ///             configured partitioner into per-client loaders;
   ///   "shard"   per-client shards synthesized from (seed, client_id), all
   ///             materialized at construction — the reference the
   ///             equivalence tests compare against;
-  ///   "virtual" the same shards, synthesized at dispatch time inside
-  ///             train_shard and released right after — O(active) memory,
-  ///             bit-identical to "shard" (requires a remote-trainable
-  ///             algorithm, since clients hold no cross-round state).
+  ///   "virtual" the same shards, synthesized inside each train_shard task
+  ///             on the thread that trains it and released with the task —
+  ///             O(active) memory, bit-identical to "shard" (requires a
+  ///             remote-trainable algorithm, since the engine keeps no
+  ///             per-client algorithm state for it).
   std::string client_data = "pool";
   /// Shard modes: samples per client (0 = the dataset spec's Table II
   /// per-client count scaled by data_scale).
   std::size_t shard_samples = 0;
-  /// Virtual mode: dispatches per train_shard group (0 = auto, 64). Each
-  /// client is built on the training thread that trains it and released
-  /// after, so at most min(chunk, training threads) are alive at once.
-  /// Bounds peak memory without changing results.
-  std::size_t virtual_chunk = 0;
   /// Record per-client participation counts in RunResult (sparse; opt out
   /// when even the map is unwanted bookkeeping at millions of clients).
   bool track_participation = true;

@@ -36,11 +36,6 @@ const std::vector<FlagSpec>& experiment_flags() {
       {"--shard-samples", "N",
        "shard/virtual: training samples per client shard (default: the "
        "dataset spec's per-client budget)"},
-      {"--virtual-chunk", "N",
-       "virtual: dispatches per group inside one train call; each client "
-       "is built on the training thread that trains it, so at most "
-       "min(N, training threads) are alive at once (default 64; "
-       "bit-transparent to results)"},
       {"--no-participation", nullptr,
        "skip the per-client participation tally (saves O(participants) "
        "memory at million-client scale; never changes training)"},

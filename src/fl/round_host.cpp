@@ -31,8 +31,8 @@ const clients::AvailabilityModel& RoundHost::availability() const {
 }
 bool RoundHost::compute_enabled() const { return sim_.compute_->enabled(); }
 double RoundHost::compute_seconds(std::size_t client) const {
-  // client_num_samples never touches a materialized Client — in virtual
-  // mode none exists until the dispatch trains.
+  // client_num_samples never touches a shard — in virtual mode none exists
+  // until the dispatch trains.
   return sim_.compute_->train_seconds(client,
                                       sim_.client_num_samples(client),
                                       sim_.config_.local_epochs);

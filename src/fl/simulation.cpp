@@ -1,6 +1,7 @@
 #include "fl/simulation.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -8,9 +9,8 @@
 #include "comm/registry.h"
 #include "fl/round_host.h"
 #include "nn/loss.h"
-#include "obs/tracer.h"
 #include "nn/parameter_vector.h"
-#include "optim/sgd.h"
+#include "obs/tracer.h"
 #include "sched/registry.h"
 #include "tensor/thread_pool.h"
 #include "tensor/vec_math.h"
@@ -106,15 +106,9 @@ Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
         data::make_partition(config_.heterogeneity, data_.train,
                              config_.num_clients, per_client, part_rng);
 
-    model_factory_ = nn::make_model_factory(config_.model, config_.seed);
-
-    clients_.reserve(config_.num_clients);
+    loaders_.reserve(config_.num_clients);
     for (std::size_t k = 0; k < config_.num_clients; ++k) {
-      auto opt = optim::make_optimizer(algorithm_->optimizer_kind(),
-                                       config_.lr, config_.momentum);
-      clients_.push_back(std::make_unique<Client>(
-          k, data_.train, partition_[k], model_factory_, std::move(opt),
-          config_.batch_size));
+      loaders_.emplace_back(data_.train, partition_[k], config_.batch_size);
     }
   } else {
     if (config_.client_data != "shard" && config_.client_data != "virtual") {
@@ -131,17 +125,15 @@ Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
         spec, config_.heterogeneity, config_.seed, config_.num_clients,
         per_client);
 
-    model_factory_ = nn::make_model_factory(config_.model, config_.seed);
-
     if (config_.client_data == "shard") {
       // Materialized reference: every shard built up front, exactly what
       // virtual mode must reproduce bit for bit.
-      clients_.reserve(config_.num_clients);
       shard_data_.reserve(config_.num_clients);
+      loaders_.reserve(config_.num_clients);
       for (std::size_t k = 0; k < config_.num_clients; ++k) {
-        auto t = materialize_client(k);
-        shard_data_.push_back(std::move(t.shard));
-        clients_.push_back(std::move(t.client));
+        shard_data_.push_back(
+            std::make_unique<data::Dataset>(synth_->make_shard(k)));
+        loaders_.emplace_back(*shard_data_.back(), config_.batch_size);
       }
     } else {
       if (!algorithm_->remote_trainable()) {
@@ -151,14 +143,19 @@ Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
             " holds dense per-client state across rounds)");
       }
       virtual_mode_ = true;
-      virtual_chunk_ =
-          config_.virtual_chunk > 0 ? config_.virtual_chunk : 64;
     }
   }
 
-  eval_models_.push_back(model_factory_());
-  warm_up(*eval_models_.front(), data_.test);
-  global_params_ = nn::flatten_parameters(*eval_models_.front());
+  workspaces_ = std::make_unique<WorkspacePool>(
+      nn::make_model_factory(config_.model, config_.seed),
+      algorithm_->optimizer_kind(), config_.lr, config_.momentum);
+  {
+    const auto first = workspaces_->checkout();
+    warm_up(first->model(), data_.test);
+    global_params_ = nn::flatten_parameters(first->model());
+    forward_flops_ = first->model().forward_flops_per_sample();
+    backward_flops_ = first->model().backward_flops_per_sample();
+  }
 
   // Channel, network and client-heterogeneity models draw from dedicated
   // split streams: configuring them never perturbs partitioning, model
@@ -188,8 +185,6 @@ Simulation::Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
   algorithm_->initialize(config_.num_clients, global_params_.size());
 }
 
-Simulation::Simulation(Simulation&&) noexcept = default;
-Simulation& Simulation::operator=(Simulation&&) noexcept = default;
 Simulation::~Simulation() = default;
 
 void Simulation::set_tracer(obs::Tracer* tracer) {
@@ -220,7 +215,6 @@ ThreadPool* Simulation::training_pool() {
 }
 
 double Simulation::evaluate(const std::vector<float>& params) {
-  nn::load_parameters(*eval_models_.front(), params);
   const std::size_t total =
       config_.eval_max_samples > 0
           ? std::min(config_.eval_max_samples, data_.test.size())
@@ -233,21 +227,18 @@ double Simulation::evaluate(const std::vector<float>& params) {
   const std::size_t threads =
       train_pool_ != nullptr ? std::min(train_pool_->size(), sub_batches) : 1;
   const std::size_t range = (total + threads - 1) / threads;
-  if (eval_models_.size() < threads) eval_models_.resize(threads);
   std::vector<std::uint8_t> hits(total);
   const auto evaluate_range = [&](std::size_t t) {
-    std::unique_ptr<nn::Sequential>& model = eval_models_[t];
-    if (t > 0) {
-      if (!model) model = model_factory_();
-      nn::load_parameters(*model, params);
-    }
+    const auto ws = workspaces_->checkout();
+    nn::Sequential& model = ws->model();
+    nn::load_parameters(model, params);
     const std::size_t end = std::min(total, (t + 1) * range);
     std::vector<std::size_t> idx;
     for (std::size_t start = t * range; start < end; start += kEvalSubBatch) {
       idx.resize(std::min(end, start + kEvalSubBatch) - start);
       for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = start + i;
       Tensor logits =
-          model->forward(data_.test.make_batch(idx), /*train=*/false);
+          model.forward(data_.test.make_batch(idx), /*train=*/false);
       nn::mark_correct(logits, data_.test.make_batch_labels(idx),
                        hits.data() + start);
     }
@@ -268,21 +259,6 @@ double Simulation::evaluate(const std::vector<float>& params) {
   return acc_sum / static_cast<double>(total);
 }
 
-Simulation::TransientClient Simulation::materialize_client(
-    std::size_t client_id) {
-  TransientClient t;
-  t.shard =
-      std::make_unique<data::Dataset>(synth_->make_shard(client_id));
-  std::vector<std::size_t> indices(t.shard->size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  auto opt = optim::make_optimizer(algorithm_->optimizer_kind(), config_.lr,
-                                   config_.momentum);
-  t.client = std::make_unique<Client>(client_id, *t.shard,
-                                      std::move(indices), model_factory_,
-                                      std::move(opt), config_.batch_size);
-  return t;
-}
-
 void Simulation::init_result(RunResult* result) const {
   if (config_.partition_stats) {
     if (synth_ != nullptr) {
@@ -296,10 +272,8 @@ void Simulation::init_result(RunResult* result) const {
     }
   }
   result->model_params = static_cast<double>(global_params_.size());
-  result->model_forward_flops =
-      eval_models_.front()->forward_flops_per_sample();
-  result->model_backward_flops =
-      eval_models_.front()->backward_flops_per_sample();
+  result->model_forward_flops = forward_flops_;
+  result->model_backward_flops = backward_flops_;
   result->channel_name = channel_->name();
 }
 
@@ -310,16 +284,15 @@ void Simulation::init_result(RunResult* result) const {
 
 std::vector<ClientUpdate> Simulation::train_shard(
     const std::vector<ShardWork>& work, double* pre_round_flops) {
-  if (virtual_mode_) return train_shard_virtual(work, pre_round_flops);
   std::vector<ClientContext> contexts;
   contexts.reserve(work.size());
   for (const auto& wk : work) {
     ClientContext ctx;
     ctx.round = wk.d.round;
-    ctx.client = clients_[wk.d.client_id].get();
+    ctx.client_id = wk.d.client_id;
+    if (!virtual_mode_) ctx.loader = &loaders_[wk.d.client_id];
     ctx.global_params = wk.d.params.get();
     ctx.history = wk.history;
-    ctx.model_factory = &model_factory_;
     ctx.local_epochs = config_.local_epochs;
     // Stream keyed by the dispatch: identical for any thread schedule —
     // and for any process, since root_rng_ derives from config.seed alone.
@@ -327,61 +300,32 @@ std::vector<ClientUpdate> Simulation::train_shard(
     contexts.push_back(std::move(ctx));
   }
 
-  *pre_round_flops = algorithm_->pre_round(contexts);
+  // Virtual mode admits only remote-trainable algorithms, whose pre_round
+  // is the no-op default, so no pre-round reads a loader not built yet.
+  *pre_round_flops = algorithm_->pre_round(contexts, *workspaces_);
 
   obs::Tracer* const tr = tracer_;
   std::vector<ClientUpdate> updates(contexts.size());
   parallel_for(
       0, contexts.size(),
       [&](std::size_t i) {
+        ClientContext& ctx = contexts[i];
+        std::optional<data::Dataset> shard;
+        std::optional<data::DataLoader> loader;
+        if (virtual_mode_) {
+          shard.emplace(synth_->make_shard(ctx.client_id));
+          ctx.loader = &loader.emplace(*shard, config_.batch_size);
+        }
+        const auto ws = workspaces_->checkout();
+        ctx.workspace = &*ws;
         obs::WallSpan span(
             tr, "train_shard",
-            {{"client", static_cast<double>(contexts[i].client->id())},
-             {"round", static_cast<double>(contexts[i].round)}});
-        updates[i] = algorithm_->train_client(contexts[i]);
-        updates[i].client_id = contexts[i].client->id();
+            {{"client", static_cast<double>(ctx.client_id)},
+             {"round", static_cast<double>(ctx.round)}});
+        updates[i] = algorithm_->train_client(ctx);
+        updates[i].client_id = ctx.client_id;
       },
       training_pool());
-  return updates;
-}
-
-std::vector<ClientUpdate> Simulation::train_shard_virtual(
-    const std::vector<ShardWork>& work, double* pre_round_flops) {
-  // Virtual mode requires a remote-trainable algorithm, whose pre_round is
-  // the stateless 0.0 default (cohort-coupled pre-rounds imply
-  // remote_trainable() false), so there is no pre-round phase to run.
-  *pre_round_flops = 0.0;
-  obs::Tracer* const tr = tracer_;
-  std::vector<ClientUpdate> updates(work.size());
-  for (std::size_t start = 0; start < work.size();
-       start += virtual_chunk_) {
-    const std::size_t end = std::min(work.size(), start + virtual_chunk_);
-    parallel_for(
-        start, end,
-        [&](std::size_t i) {
-          const auto& wk = work[i];
-          // The client (shard + model + optimizer) is built on the thread
-          // that trains it and released right after, so at most
-          // min(chunk, training threads) clients are alive at once,
-          // however large the dispatch batch or the population.
-          TransientClient active = materialize_client(wk.d.client_id);
-          ClientContext ctx;
-          ctx.round = wk.d.round;
-          ctx.client = active.client.get();
-          ctx.global_params = wk.d.params.get();
-          ctx.history = wk.history;
-          ctx.model_factory = &model_factory_;
-          ctx.local_epochs = config_.local_epochs;
-          ctx.rng = root_rng_.split(wk.d.train_key);
-          obs::WallSpan span(
-              tr, "train_shard",
-              {{"client", static_cast<double>(wk.d.client_id)},
-               {"round", static_cast<double>(wk.d.round)}});
-          updates[i] = algorithm_->train_client(ctx);
-          updates[i].client_id = wk.d.client_id;
-        },
-        training_pool());
-  }
   return updates;
 }
 
@@ -420,24 +364,26 @@ std::vector<ClientUpdate> Simulation::run_round(
   for (std::size_t k : selected) {
     ClientContext ctx;
     ctx.round = round;
-    ctx.client = clients_[k].get();
+    ctx.client_id = k;
+    ctx.loader = &loaders_[k];
     ctx.global_params = &round_params;
     ctx.history = history_.get(k);
-    ctx.model_factory = &model_factory_;
     ctx.local_epochs = config_.local_epochs;
     // Stream keyed by (round, client): identical for any thread schedule.
     ctx.rng = root_rng_.split((round << 20) ^ (k + 1));
     contexts.push_back(std::move(ctx));
   }
 
-  *pre_round_flops = algorithm_->pre_round(contexts);
+  *pre_round_flops = algorithm_->pre_round(contexts, *workspaces_);
 
   std::vector<ClientUpdate> updates(contexts.size());
   parallel_for(
       0, contexts.size(),
       [&](std::size_t i) {
+        const auto ws = workspaces_->checkout();
+        contexts[i].workspace = &*ws;
         updates[i] = algorithm_->train_client(contexts[i]);
-        updates[i].client_id = contexts[i].client->id();
+        updates[i].client_id = contexts[i].client_id;
       },
       training_pool());
   return updates;

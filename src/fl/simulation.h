@@ -1,14 +1,14 @@
 // Simulation: the FL engine around the paper's Algorithm 1.
 //
-// The Simulation owns models, clients, data, the comm channel and the
-// history store, and exposes them to a sched::Scheduler as Host primitives
-// (select / broadcast / train / uplink / aggregate). The configured policy
-// (sync / fastk / async, see src/sched/) owns the outer loop: who trains
-// when on the event-driven virtual clock fed by comm::NetworkModel. Client
-// training uses pre-split RNG streams keyed per dispatch, so results are
-// bit-identical for any worker count, and the default sync policy
-// reproduces the classic wait-for-everyone loop (run_reference) bit for
-// bit.
+// The Simulation owns the clients' data, the pool of model workspaces, the
+// comm channel and the history store, and exposes them to a
+// sched::Scheduler as Host primitives (select / broadcast / train / uplink /
+// aggregate). The configured policy (sync / fastk / async / deadline, see
+// src/sched/) owns the outer loop: who trains when on the event-driven
+// virtual clock fed by comm::NetworkModel. Client training uses pre-split
+// RNG streams keyed per dispatch, so results are bit-identical for any
+// worker count, and the default sync policy reproduces the classic
+// wait-for-everyone loop (run_reference) bit for bit.
 #pragma once
 
 #include <functional>
@@ -21,14 +21,15 @@
 #include "clients/virtual_shard.h"
 #include "comm/channel.h"
 #include "comm/network.h"
+#include "data/dataloader.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/algorithm.h"
-#include "fl/client.h"
 #include "fl/comm.h"
 #include "fl/config.h"
 #include "fl/history.h"
 #include "fl/types.h"
+#include "fl/workspace.h"
 #include "sched/scheduler.h"
 #include "tensor/thread_pool.h"
 
@@ -80,8 +81,9 @@ class Simulation {
   /// per-client sample budget still follows the named spec when it matches.
   Simulation(const ExperimentConfig& config, AlgorithmPtr algorithm,
              data::TrainTest dataset);
-  Simulation(Simulation&&) noexcept;
-  Simulation& operator=(Simulation&&) noexcept;
+  // Client loaders hold the address of the pooled training data.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
   ~Simulation();
 
   /// Runs the configured number of rounds under the configured scheduling
@@ -101,9 +103,9 @@ class Simulation {
   /// The shard-executable train core: algorithm pre-round phase over
   /// `work`, then parallel local training with per-dispatch RNG streams
   /// (FLOPs of the pre-round phase go to *pre_round_flops; per-update
-  /// FLOPs ride each ClientUpdate). Pure function of (config seed, work):
-  /// both the in-process host and a remote worker process produce
-  /// bit-identical updates from equal inputs.
+  /// FLOPs ride each ClientUpdate), one workspace per running task. Pure
+  /// function of (config seed, work): both the in-process host and a
+  /// remote worker process produce bit-identical updates from equal inputs.
   std::vector<ClientUpdate> train_shard(const std::vector<ShardWork>& work,
                                         double* pre_round_flops);
 
@@ -130,12 +132,10 @@ class Simulation {
   }
 
   /// Training samples of one client — constant per run in the shard data
-  /// modes (no materialized Client needed), the client's loader size in
-  /// pool mode. Schedulers predict compute time from this before any shard
-  /// exists.
+  /// modes (no shard needed), the client's loader size in pool mode.
+  /// Schedulers predict compute time from this before any shard exists.
   std::size_t client_num_samples(std::size_t client) const {
-    return synth_ ? synth_->samples_per_client()
-                  : clients_[client]->num_samples();
+    return synth_ ? synth_->samples_per_client() : loaders_[client].size();
   }
 
   /// The shard synthesizer (nullptr in pool mode) — what property tests
@@ -153,8 +153,8 @@ class Simulation {
   /// Evaluates parameters on the held-out test set (accuracy in [0, 1]):
   /// the mean over 128-sample batches of each batch's accuracy, weighted by
   /// its size. Once this process has trained locally, the test samples are
-  /// split into contiguous ranges over the training threads, each with its
-  /// own model replica; before that (a socket coordinator never trains
+  /// split into contiguous ranges over the training threads, each in its
+  /// own workspace; before that (a socket coordinator never trains
   /// locally) it runs on the calling thread. Per-sample predictions do not
   /// depend on which samples share a forward pass, so the result is the
   /// same double either way.
@@ -166,7 +166,6 @@ class Simulation {
   /// configured model.
   void set_initial_params(const std::vector<float>& params);
 
-  const data::Dataset& train_data() const { return data_.train; }
   const data::Dataset& test_data() const { return data_.test; }
   const data::Partition& partition() const { return partition_; }
   const comm::Channel& channel() const { return *channel_; }
@@ -175,6 +174,8 @@ class Simulation {
   const clients::AvailabilityModel& availability() const {
     return *availability_;
   }
+  /// The model workspaces; size() is the peak number held at once.
+  const WorkspacePool& workspaces() const { return *workspaces_; }
 
  private:
   friend class RoundHost;  // the sched::Host adapter (simulation.cpp)
@@ -186,22 +187,6 @@ class Simulation {
   /// Shared head of run()/run_reference(): partition stats, model FLOPs.
   void init_result(RunResult* result) const;
 
-  /// train_shard for client_data == "virtual": each client is built from
-  /// the synthesizer on the training thread that trains it, then released;
-  /// groups of virtual_chunk_ dispatches keep at most min(chunk, training
-  /// threads) alive at once. Bit-identical to the materialized path.
-  std::vector<ClientUpdate> train_shard_virtual(
-      const std::vector<ShardWork>& work, double* pre_round_flops);
-
-  /// A transient client for one virtual-mode dispatch: the shard dataset
-  /// must outlive the Client (its DataLoader holds a reference), and both
-  /// are dropped together once the dispatch has trained.
-  struct TransientClient {
-    std::unique_ptr<data::Dataset> shard;
-    std::unique_ptr<Client> client;
-  };
-  TransientClient materialize_client(std::size_t client_id);
-
   /// The pool local training runs on: a dedicated pool of config.workers
   /// threads, started on the first call, or the global pool when workers
   /// is 0. Also marks this process as one that trains, which evaluate()
@@ -212,20 +197,20 @@ class Simulation {
   AlgorithmPtr algorithm_;
   data::TrainTest data_;
   data::Partition partition_;
-  nn::ModelFactory model_factory_;
-  std::vector<std::unique_ptr<Client>> clients_;
-  /// Shard data modes: the per-client synthesizer (nullptr in pool mode),
-  /// the materialized shards backing clients_ in "shard" mode, and the
-  /// virtual-mode chunk size.
+  /// Client k is its loader loaders_[k]; empty in virtual mode.
+  std::vector<data::DataLoader> loaders_;
+  /// Shard data modes: the per-client synthesizer (nullptr in pool mode)
+  /// and the materialized shards loaders_ read in "shard" mode.
   std::unique_ptr<clients::ShardSynthesizer> synth_;
   std::vector<std::unique_ptr<data::Dataset>> shard_data_;
   bool virtual_mode_ = false;
-  std::size_t virtual_chunk_ = 0;
   RoundSink round_sink_;
   bool sink_keeps_history_ = false;
-  /// Evaluation models, one per evaluating thread; [0] is built at
-  /// construction and also gives the model's FLOP costs.
-  std::vector<std::unique_ptr<nn::Sequential>> eval_models_;
+  /// Every model of the process; the first, warmed up at construction,
+  /// gives the initial parameters and the FLOP costs.
+  std::unique_ptr<WorkspacePool> workspaces_;
+  double forward_flops_ = 0.0;   // per sample
+  double backward_flops_ = 0.0;  // per sample
   HistoryStore history_;
   std::vector<float> global_params_;
   std::unique_ptr<comm::Channel> channel_;

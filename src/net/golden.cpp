@@ -34,7 +34,6 @@ SetupMsg canonical_setup() {
   // pins every field's position on the wire.
   m.config.client_data = "virtual";
   m.config.shard_samples = 24;
-  m.config.virtual_chunk = 16;
   m.config.track_participation = false;
   m.config.partition_stats = false;
   // Elastic-coordinator block (protocol v3).
@@ -152,9 +151,9 @@ wire::golden::Fixture session_fixture() {
                      setup.config.seed);
   std::vector<wire::Record> records;
   records.push_back({wire::RecordType::kNetHello, 0,
-                     serialize_hello(HelloMsg{6, 6})});
+                     serialize_hello(HelloMsg{7, 7})});
   records.push_back({wire::RecordType::kNetHello, 0,
-                     serialize_hello(HelloMsg{6, 6})});
+                     serialize_hello(HelloMsg{7, 7})});
   records.push_back(
       {wire::RecordType::kNetSetup, 0, serialize_setup(setup)});
   records.push_back({wire::RecordType::kNetSetupAck, 0,

@@ -344,7 +344,6 @@ void write_config(WireWriter& w, const fl::ExperimentConfig& c) {
   // trains diverges.
   write_string(w, c.client_data);
   w.u64(c.shard_samples);
-  w.u64(c.virtual_chunk);
   write_bool(w, c.track_participation);
   write_bool(w, c.partition_stats);
   // Socket-transport block (protocol v5): the wire codec both peers will
@@ -380,7 +379,6 @@ fl::ExperimentConfig read_config(WireReader& r) {
   c.obs.counters = read_bool(r);
   c.client_data = read_string(r);
   c.shard_samples = static_cast<std::size_t>(r.u64());
-  c.virtual_chunk = static_cast<std::size_t>(r.u64());
   c.track_participation = read_bool(r);
   c.partition_stats = read_bool(r);
   c.net.wire_codec = read_string(r);

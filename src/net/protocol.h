@@ -46,7 +46,7 @@ namespace fedtrip::net {
 /// v3 added the elastic-coordinator block to Setup (elastic flag,
 /// heartbeat interval, rejoin port) and the kNetHeartbeat/kNetDispatchAck
 /// records; v4 added the client-data block to the Setup config (client_data
-/// mode, shard_samples, virtual_chunk, track_participation,
+/// mode, shard_samples, the virtual-mode chunk size, track_participation,
 /// partition_stats) so a worker rebuilds shard/virtual simulations
 /// identically; v5 added the socket-transport block to the Setup config
 /// (NetConfig::wire_codec) and, when that codec is non-identity, the
@@ -54,11 +54,11 @@ namespace fedtrip::net {
 /// payloads (see the envelope note below); v6 added the histogram section
 /// to the kNetStats StatsReport payload (obs/stats.h) so worker latency
 /// distributions ride the existing stats machinery, mid-run and at
-/// shutdown; coordinator and workers deploy in lockstep (one binary, one
-/// repo), so the minimum moves with the maximum rather than carrying
-/// older shims.
-inline constexpr std::uint16_t kProtocolVersionMin = 6;
-inline constexpr std::uint16_t kProtocolVersion = 6;
+/// shutdown; v7 dropped the chunk size from the Setup client-data block;
+/// coordinator and workers deploy in lockstep (one binary, one repo), so
+/// the minimum moves with the maximum rather than carrying older shims.
+inline constexpr std::uint16_t kProtocolVersionMin = 7;
+inline constexpr std::uint16_t kProtocolVersion = 7;
 
 // ------------------------------------------------------------- handshake
 

@@ -12,7 +12,7 @@ namespace fedtrip::nn {
 class Dropout : public Module {
  public:
   explicit Dropout(float p, std::uint64_t seed = 0xD509)
-      : p_(p), rng_(seed) {}
+      : p_(p), seed_(seed), rng_(seed) {}
 
   Tensor forward(const Tensor& input, bool train) override {
     if (!train || p_ <= 0.0f) {
@@ -49,10 +49,11 @@ class Dropout : public Module {
 
   std::string name() const override { return "Dropout"; }
 
-  void reseed(std::uint64_t seed) { rng_.reseed(seed); }
+  void reset_streams() override { rng_ = Rng(seed_); }
 
  private:
   float p_;
+  std::uint64_t seed_;
   Rng rng_;
   Tensor mask_;
 };

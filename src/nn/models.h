@@ -38,8 +38,8 @@ struct ModelSpec {
 std::unique_ptr<Sequential> build_model(const ModelSpec& spec,
                                         std::uint64_t seed);
 
-/// A reusable builder bound to a spec + seed; FL clients use it to
-/// instantiate their local copies and MOON's auxiliary models.
+/// A reusable builder bound to a spec + seed; the FL engine's workspace
+/// pool builds every model (MOON's auxiliary ones too) with it.
 using ModelFactory = std::function<std::unique_ptr<Sequential>()>;
 
 ModelFactory make_model_factory(const ModelSpec& spec, std::uint64_t seed);

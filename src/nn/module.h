@@ -51,6 +51,10 @@ class Module {
     for (Tensor* g : gradients()) g->zero();
   }
 
+  /// Restores internal random streams (Dropout) to their seeds, so a reused
+  /// module draws exactly what a freshly built one would.
+  virtual void reset_streams() {}
+
   std::int64_t parameter_count() {
     std::int64_t n = 0;
     for (Tensor* p : parameters()) n += p->numel();

@@ -90,6 +90,10 @@ class Sequential : public Module {
     return modules_.empty() ? 0 : modules_.size() - 1;
   }
 
+  void reset_streams() override {
+    for (auto& m : modules_) m->reset_streams();
+  }
+
   std::vector<Tensor*> parameters() override {
     std::vector<Tensor*> out;
     for (auto& m : modules_) {

@@ -1,4 +1,4 @@
-// The three built-in scheduling policies (see scheduler.h for semantics).
+// The four built-in scheduling policies (see scheduler.h for semantics).
 #pragma once
 
 #include "sched/scheduler.h"

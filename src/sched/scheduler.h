@@ -2,10 +2,10 @@
 //
 // A Scheduler owns the outer loop of an FL run — which clients are
 // dispatched when, in what order their updates arrive at the server (fed by
-// comm::NetworkModel::client_seconds), and when the server aggregates. The
-// Simulation implements the Host interface (broadcast / train / uplink /
-// aggregate primitives over its models, channel and data) and delegates its
-// round loop to the configured policy:
+// comm::NetworkModel::client_seconds), and when the server aggregates.
+// fl::RoundHost implements the Host interface (broadcast / train / uplink /
+// aggregate primitives over the Simulation's workspaces, channel and data),
+// and the Simulation delegates its round loop to the configured policy:
 //
 //   sync     — the classic loop: K clients per round, everyone waited for.
 //              Reproduces the pre-scheduler Simulation bit-identically.

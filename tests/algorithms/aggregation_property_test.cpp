@@ -99,7 +99,7 @@ TEST_P(LocalTrainingPropertyTest, UpdateHasFiniteParams) {
   if (GetParam() == "FedDANE") {
     std::vector<fl::ClientContext> ctxs;
     ctxs.push_back(h.context(0, 1));
-    algo->pre_round(ctxs);
+    algo->pre_round(ctxs, h.workspaces);
     auto u = algo->train_client(ctxs[0]);
     for (float v : u.params) ASSERT_TRUE(std::isfinite(v));
     return;

@@ -20,7 +20,7 @@ TEST(FedDaneTest, PreRoundComputesGradientsAndFlops) {
   std::vector<fl::ClientContext> contexts;
   contexts.push_back(h.context(0, 1, 3));
   contexts.push_back(h.context(1, 1, 3));
-  const double flops = algo.pre_round(contexts);
+  const double flops = algo.pre_round(contexts, h.workspaces);
   EXPECT_GT(flops, 0.0);
 }
 
@@ -30,7 +30,7 @@ TEST(FedDaneTest, FullRoundProducesValidUpdate) {
   algo.initialize(2, h.param_dim());
   std::vector<fl::ClientContext> contexts;
   contexts.push_back(h.context(0, 1, 5));
-  algo.pre_round(contexts);
+  algo.pre_round(contexts, h.workspaces);
   auto u = algo.train_client(contexts[0]);
   EXPECT_EQ(u.params.size(), h.param_dim());
   EXPECT_EQ(u.extra_upload_floats, h.param_dim());  // gradient upload
@@ -49,7 +49,7 @@ TEST(FedDaneTest, SingleClientCorrectionVanishes) {
   dane.initialize(2, h1.param_dim());
   std::vector<fl::ClientContext> contexts;
   contexts.push_back(h1.context(0, 1, 7));
-  dane.pre_round(contexts);
+  dane.pre_round(contexts, h1.workspaces);
   auto u_dane = dane.train_client(contexts[0]);
 
   FedProx prox(0.1f);
@@ -69,14 +69,14 @@ TEST(FedDaneTest, TwoClientsCorrectionNonZero) {
   std::vector<fl::ClientContext> contexts;
   contexts.push_back(h1.context(0, 1, 9));
   contexts.push_back(h1.context(1, 1, 9));
-  dane.pre_round(contexts);
+  dane.pre_round(contexts, h1.workspaces);
   auto u_two = dane.train_client(contexts[0]);
 
   FedDane solo(0.1f);
   solo.initialize(2, h2.param_dim());
   std::vector<fl::ClientContext> solo_ctx;
   solo_ctx.push_back(h2.context(0, 1, 9));
-  solo.pre_round(solo_ctx);
+  solo.pre_round(solo_ctx, h2.workspaces);
   auto u_one = solo.train_client(solo_ctx[0]);
   EXPECT_NE(u_two.params, u_one.params);
 }

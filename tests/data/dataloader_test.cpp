@@ -94,13 +94,18 @@ TEST(DataLoaderTest, SameRngSameOrder) {
   }
 }
 
-TEST(DataLoaderTest, AllReturnsEverything) {
+TEST(DataLoaderTest, SliceReturnsTheRangeInIndexOrder) {
   Dataset ds = tiny(10);
   DataLoader loader(ds, {7, 8, 9}, 2);
-  auto batch = loader.all();
+  auto batch = loader.slice(0, loader.size());
   EXPECT_EQ(batch.labels.size(), 3u);
   EXPECT_FLOAT_EQ(batch.inputs[0], 7.0f);
   EXPECT_FLOAT_EQ(batch.inputs[2], 9.0f);
+  auto tail = loader.slice(1, 3);
+  EXPECT_EQ(tail.labels.size(), 2u);
+  EXPECT_FLOAT_EQ(tail.inputs[0], 8.0f);
+  EXPECT_FLOAT_EQ(tail.inputs[1], 9.0f);
+  EXPECT_TRUE(loader.slice(2, 2).labels.empty());
 }
 
 TEST(DataLoaderTest, SizeAccessors) {

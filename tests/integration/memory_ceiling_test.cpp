@@ -19,6 +19,7 @@
 #include "algorithms/registry.h"
 #include "fl/checkpoint.h"
 #include "fl/simulation.h"
+#include "tensor/thread_pool.h"
 
 namespace fedtrip {
 namespace {
@@ -81,6 +82,11 @@ TEST(MemoryCeilingTest, MillionClientsRunUnderBudget) {
   EXPECT_GT(sim.availability().materialized_clients(), 0u);
   EXPECT_LE(sim.availability().materialized_clients(),
             2 * cfg.rounds * cfg.clients_per_round);
+  // Models follow the running tasks, not the cohort: at most one workspace
+  // per training thread (the global pool, workers = 0) plus the calling
+  // thread, for 10k dispatches per round.
+  EXPECT_GT(sim.workspaces().size(), 0u);
+  EXPECT_LE(sim.workspaces().size(), ThreadPool::global().size() + 1);
 
   // The hard ceiling. The active cohort genuinely costs memory — ~7,500
   // in-flight updates (10k selected minus churn) x ~80k params ~= 2.3 GB

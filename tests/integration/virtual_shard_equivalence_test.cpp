@@ -7,8 +7,11 @@
 // error-feedback top-k + delta uplink, qsgd downlink, a straggler
 // network, bimodal compute and Markov churn enabled at once, in-process
 // AND with training fanned out to a 2-worker socket pool. ~100 clients so
-// chunked materialization (several chunks per round) and the sparse state
-// maps are genuinely exercised.
+// the sparse state maps are genuinely exercised and a round trains more
+// dispatches than there are threads (workspaces are reused within one
+// train call). An AlexNet config with dropout pins that a reused workspace
+// draws the same dropout masks as a freshly built model, for any thread
+// count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -47,23 +50,44 @@ fl::ExperimentConfig loaded_config() {
   cfg.clients.availability = "markov";
   cfg.clients.markov_mean_on_s = 40.0;
   cfg.clients.markov_mean_off_s = 15.0;
-  // A chunk smaller than clients_per_round so one round spans several
-  // materialize/train/release cycles.
-  cfg.virtual_chunk = 3;
+  return cfg;
+}
+
+/// AlexNet with dropout on the CIFAR-10 analogue: all 4 clients train in
+/// both rounds, so every client trains twice, and a Dropout stream that
+/// carried over from a client's (or a workspace's) earlier dispatch would
+/// change its masks.
+fl::ExperimentConfig dropout_config() {
+  fl::ExperimentConfig cfg = fl::testing::tiny_config();
+  cfg.dataset = "cifar10";
+  cfg.model.arch = nn::Arch::kAlexNet;
+  cfg.model.channels = 3;
+  cfg.model.height = 32;
+  cfg.model.width = 32;
+  cfg.model.width_mult = 0.25;
+  cfg.model.dropout = 0.5f;
+  cfg.num_clients = 4;
+  cfg.clients_per_round = 4;
+  cfg.rounds = 2;
+  cfg.shard_samples = 4;
+  cfg.batch_size = 2;
+  cfg.eval_max_samples = 16;
   return cfg;
 }
 
 fl::RunResult run_in_process(fl::ExperimentConfig cfg,
-                             const std::string& client_data) {
+                             const std::string& client_data,
+                             const std::string& method = "FedTrip") {
   cfg.client_data = client_data;
   algorithms::AlgoParams p;
-  fl::Simulation sim(cfg, algorithms::make_algorithm("FedTrip", p));
+  fl::Simulation sim(cfg, algorithms::make_algorithm(method, p));
   return sim.run();
 }
 
 fl::RunResult run_distributed(fl::ExperimentConfig cfg,
                               const std::string& client_data,
-                              std::size_t num_workers) {
+                              std::size_t num_workers,
+                              const std::string& method = "FedTrip") {
   cfg.client_data = client_data;
   net::Listener listener(0);
   const std::uint16_t port = listener.port();
@@ -87,9 +111,9 @@ fl::RunResult run_distributed(fl::ExperimentConfig cfg,
   }
 
   algorithms::AlgoParams p;
-  fl::Simulation sim(cfg, algorithms::make_algorithm("FedTrip", p));
+  fl::Simulation sim(cfg, algorithms::make_algorithm(method, p));
   net::SetupMsg setup;
-  setup.method = "FedTrip";
+  setup.method = method;
   setup.algo = p;
   setup.config = cfg;
   auto pool =
@@ -130,11 +154,13 @@ void expect_equal_runs(const fl::RunResult& ref, const fl::RunResult& got,
 }
 
 void expect_virtual_matches_materialized(const fl::ExperimentConfig& cfg,
-                                         const std::string& label) {
-  const auto materialized = run_in_process(cfg, "shard");
-  const auto virt = run_in_process(cfg, "virtual");
+                                         const std::string& label,
+                                         const std::string& method =
+                                             "FedTrip") {
+  const auto materialized = run_in_process(cfg, "shard", method);
+  const auto virt = run_in_process(cfg, "virtual", method);
   expect_equal_runs(materialized, virt, label + "/in-process");
-  const auto virt_remote = run_distributed(cfg, "virtual", 2);
+  const auto virt_remote = run_distributed(cfg, "virtual", 2, method);
   expect_equal_runs(materialized, virt_remote, label + "/socket-pool");
 }
 
@@ -174,17 +200,28 @@ TEST(VirtualShardEquivalenceTest, ByteExactModeComposes) {
   expect_equal_runs(materialized, virt, "async/byte-exact");
 }
 
-TEST(VirtualShardEquivalenceTest, ChunkSizeIsTransparent) {
-  // The chunk size only bounds peak memory; any value must give the same
-  // bits (chunked pre_round is exact for remote-trainable algorithms).
-  fl::ExperimentConfig cfg = loaded_config();
-  cfg.sched.policy = "fastk";
-  const auto materialized = run_in_process(cfg, "shard");
-  for (std::size_t chunk : {1, 7, 1000}) {
-    cfg.virtual_chunk = chunk;
-    const auto virt = run_in_process(cfg, "virtual");
-    EXPECT_EQ(materialized.final_params, virt.final_params)
-        << "chunk=" << chunk;
+TEST(VirtualShardEquivalenceTest, DropoutFedTripBitIdentical) {
+  expect_virtual_matches_materialized(dropout_config(), "dropout/FedTrip");
+}
+
+TEST(VirtualShardEquivalenceTest, DropoutMoonBitIdentical) {
+  expect_virtual_matches_materialized(dropout_config(), "dropout/MOON",
+                                      "MOON");
+}
+
+TEST(VirtualShardEquivalenceTest, DropoutThreadCountIsTransparent) {
+  // Which workspace, and how many, a round's tasks get depends on the
+  // thread count; the dropout masks, and so every bit, must not.
+  fl::ExperimentConfig cfg = dropout_config();
+  for (const char* method : {"FedTrip", "MOON"}) {
+    cfg.workers = 0;
+    const auto reference = run_in_process(cfg, "shard", method);
+    for (std::size_t workers : {1, 3, 4}) {
+      cfg.workers = workers;
+      expect_equal_runs(reference, run_in_process(cfg, "virtual", method),
+                        std::string(method) +
+                            "/workers=" + std::to_string(workers));
+    }
   }
 }
 

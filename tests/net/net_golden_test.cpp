@@ -65,7 +65,6 @@ TEST(NetGoldenTest, CommittedSessionParses) {
   // Client-data block (protocol v4).
   EXPECT_EQ(setup.config.client_data, "virtual");
   EXPECT_EQ(setup.config.shard_samples, 24u);
-  EXPECT_EQ(setup.config.virtual_chunk, 16u);
   EXPECT_FALSE(setup.config.track_participation);
   EXPECT_FALSE(setup.config.partition_stats);
   // Elastic-coordinator block (protocol v3).

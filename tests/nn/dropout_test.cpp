@@ -73,11 +73,11 @@ TEST(DropoutTest, BackwardUsesSameMask) {
   }
 }
 
-TEST(DropoutTest, ReseedReproducesMask) {
+TEST(DropoutTest, ResetStreamsReproducesMask) {
   Dropout drop(0.5f, 42);
   Tensor x = Tensor::full(Shape{1, 64}, 1.0f);
   Tensor y1 = drop.forward(x, true);
-  drop.reseed(42);
+  drop.reset_streams();
   Tensor y2 = drop.forward(x, true);
   for (std::int64_t i = 0; i < y1.numel(); ++i) {
     const auto idx = static_cast<std::size_t>(i);

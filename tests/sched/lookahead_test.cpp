@@ -262,13 +262,13 @@ INSTANTIATE_TEST_SUITE_P(
              time_model_name(std::get<2>(info.param));
     });
 
-// Virtual shards: each client is built on the thread that trains it, and
-// a lookahead batch spans several virtual_chunk groups.
+// Virtual shards: each shard is synthesized on the thread that trains it,
+// and a lookahead batch holds more dispatches than there are training
+// threads, so workspaces are reused within one train call.
 TEST(LookaheadVirtualTest, VirtualShardsMatchUnitBatches) {
   auto cfg = lookahead_config("async", TimeModel::kHeterogeneous);
   cfg.client_data = "virtual";
   cfg.shard_samples = 12;
-  cfg.virtual_chunk = 3;
   cfg.num_clients = 400;
   cfg.clients_per_round = 16;
   cfg.sched.buffer_size = 8;
@@ -280,7 +280,7 @@ TEST(LookaheadVirtualTest, VirtualShardsMatchUnitBatches) {
   expect_each_trained_once(ahead);
   EXPECT_GT(*std::max_element(ahead.batch_sizes.begin(),
                               ahead.batch_sizes.end()),
-            cfg.virtual_chunk);
+            cfg.workers);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ for flag in --schedule --overselect --buffer --staleness-alpha \
     --byte-exact --load-model --workers-remote --connect \
     --worker-bin --obs --trace-out --metrics-out \
     --elastic --heartbeat-interval --worker-deadline \
-    --client-data --shard-samples --virtual-chunk \
+    --client-data --shard-samples \
     --no-participation --no-partition-stats \
     --wire-codec \
     --metrics-interval --metrics-ndjson --flight-recorder; do
