@@ -4,11 +4,14 @@
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <string>
 
 #include "algorithms/fedtrip.h"
 #include "fl/simulation.h"
 #include "nn/conv2d.h"
+#include "nn/loss.h"
 #include "nn/models.h"
+#include "optim/sgd.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "tensor/vec_math.h"
@@ -31,10 +34,8 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
-// The GEMMs of the models' hot layers, one benchmark per kernel with
-// (m, k, n) as arguments.
-template <auto Kernel>
-void BM_GemmShape(benchmark::State& state) {
+// The GEMMs of the models' hot layers, with (m, k, n) as arguments.
+void BM_GemmShape(benchmark::State& state, ops::GemmFn kernel) {
   const auto m = static_cast<std::int64_t>(state.range(0));
   const auto k = static_cast<std::int64_t>(state.range(1));
   const auto n = static_cast<std::int64_t>(state.range(2));
@@ -43,56 +44,125 @@ void BM_GemmShape(benchmark::State& state) {
   for (auto& v : a) v = rng.normal();
   for (auto& v : b) v = rng.normal();
   for (auto _ : state) {
-    Kernel(a.data(), b.data(), c.data(), m, k, n, 1.0f, 1.0f);
+    kernel(a.data(), b.data(), c.data(), m, k, n, 1.0f, 1.0f);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-// CNN last conv forward: a 1x1 output makes n = 1. gemm and gemm_tn take
-// the narrow path below 16 output columns (n = 4: the CNN on 32x32 inputs)
-// and the row path from 16 on (n = 16: AlexNet's 4x4 convs on 32x32
-// inputs), so n = 8 and 15 time the path inside the cut and 16 the first
-// width past it.
-BENCHMARK(BM_GemmShape<ops::gemm>)
-    ->Args({120, 400, 1})
-    ->Args({120, 400, 4})
-    ->Args({120, 400, 8})
-    ->Args({120, 400, 15})
-    ->Args({120, 400, 16})
-    ->Args({96, 432, 16});
-// Its weight gradient (a 1x1 output makes k = 1) and the MLP hidden layer.
-BENCHMARK(BM_GemmShape<ops::gemm_nt>)->Args({120, 1, 400})->Args({32, 784, 100});
-// Its input gradient, at the same widths.
-BENCHMARK(BM_GemmShape<ops::gemm_tn>)
-    ->Args({400, 120, 1})
-    ->Args({400, 120, 4})
-    ->Args({400, 120, 8})
-    ->Args({400, 120, 15})
-    ->Args({400, 120, 16})
-    ->Args({432, 96, 16});
 
-void BM_Conv2dForward(benchmark::State& state) {
-  Rng rng(2);
-  nn::Conv2d conv(6, 16, 5, 1, 0, rng);
-  Tensor x(Shape{8, 6, 14, 14});
+// The shapes of the models' hot layers: gemm and gemm_tn take the narrow
+// path below 16 output columns and the register-blocked wide path from 16
+// on. The CNN's convs per sample: conv1 forward (6x25x784), conv2 forward
+// (16x150x100) and its input gradient (gemm_tn 150x16x100); the CNN's
+// batched 1x1 conv3 at paper-cnn's batch 15 and the evaluation's 16
+// (forward 120x400xB, input gradient gemm_tn 400x120xB); AlexNet's 4x4
+// convs on 32x32 inputs (n = 16); the MLP's hidden-layer weight gradient
+// (gemm_tn 100x32x784). n = 1, 4 and 8 time the narrow path at other
+// batch sizes.
+void gemm_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({120, 400, 1})
+      ->Args({120, 400, 8})
+      ->Args({120, 400, 15})
+      ->Args({120, 400, 16})
+      ->Args({96, 432, 16})
+      ->Args({6, 25, 784})
+      ->Args({16, 150, 100});
+}
+void gemm_tn_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({400, 120, 1})
+      ->Args({400, 120, 4})
+      ->Args({400, 120, 15})
+      ->Args({400, 120, 16})
+      ->Args({432, 96, 16})
+      ->Args({150, 16, 100})
+      ->Args({100, 32, 784});
+}
+// The weight gradients of the convs (m = out_c, k = out_hw, n = C*k*k)
+// and the Linear forwards of the MLP (batch 32) and the CNN (batch 15).
+void gemm_nt_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({6, 784, 25})
+      ->Args({16, 100, 150})
+      ->Args({120, 1, 400})
+      ->Args({32, 784, 100})
+      ->Args({15, 120, 84});
+}
+BENCHMARK_CAPTURE(BM_GemmShape, gemm, &ops::gemm)->Apply(gemm_shapes);
+BENCHMARK_CAPTURE(BM_GemmShape, gemm_tn, &ops::gemm_tn)->Apply(gemm_tn_shapes);
+BENCHMARK_CAPTURE(BM_GemmShape, gemm_nt, &ops::gemm_nt)->Apply(gemm_nt_shapes);
+
+// The batched 1x1-conv weight gradient: conv3's 120x400 over a batch.
+void BM_AddOuterIsa(benchmark::State& state, ops::OuterFn kernel) {
+  const std::int64_t m = 120, n = 400;
+  const auto k = static_cast<std::int64_t>(state.range(0));
+  Rng rng(10);
+  std::vector<float> a(k * m), b(k * n), c(m * n);
+  for (auto& v : a) v = rng.normal();
+  for (auto& v : b) v = rng.normal();
+  for (auto _ : state) {
+    kernel(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+
+// The same shapes once per instruction-set variant this CPU runs
+// (BM_GemmShape/<isa>/<kernel>), so each variant's block shapes are
+// measured where they run; BM_GemmShape/<kernel> times the variant ops::
+// dispatches to.
+const bool kIsaBenchmarks = [] {
+  for (const ops::GemmKernels& v : ops::gemm_variants()) {
+    if (!v.supported()) continue;
+    const std::string isa = v.isa;
+    benchmark::RegisterBenchmark(("BM_GemmShape/" + isa + "/gemm").c_str(),
+                                 BM_GemmShape, v.gemm)
+        ->Apply(gemm_shapes);
+    benchmark::RegisterBenchmark(("BM_GemmShape/" + isa + "/gemm_tn").c_str(),
+                                 BM_GemmShape, v.gemm_tn)
+        ->Apply(gemm_tn_shapes);
+    benchmark::RegisterBenchmark(("BM_GemmShape/" + isa + "/gemm_nt").c_str(),
+                                 BM_GemmShape, v.gemm_nt)
+        ->Apply(gemm_nt_shapes);
+    benchmark::RegisterBenchmark(
+        ("BM_AddOuterIsa/" + isa).c_str(), BM_AddOuterIsa,
+        v.add_outer_products)
+        ->Arg(15);
+  }
+  return true;
+}();
+
+// paper-cnn's convs at its batch size (15): conv2 (6 -> 16, 5x5 on 14x14)
+// and conv3, whose 1x1 output runs one GEMM over the batch (16 -> 120,
+// 5x5 on 5x5). Argument: 0 for conv2, 1 for conv3.
+nn::Conv2d make_conv(std::int64_t which, Rng& rng, Tensor& x) {
+  if (which == 0) {
+    x = Tensor(Shape{15, 6, 14, 14});
+  } else {
+    x = Tensor(Shape{15, 16, 5, 5});
+  }
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[static_cast<std::size_t>(i)] = rng.normal();
   }
+  return which == 0 ? nn::Conv2d(6, 16, 5, 1, 0, rng)
+                    : nn::Conv2d(16, 120, 5, 1, 0, rng);
+}
+
+void BM_Conv2dForward(benchmark::State& state) {
+  Rng rng(2);
+  Tensor x;
+  nn::Conv2d conv = make_conv(state.range(0), rng, x);
   for (auto _ : state) {
     Tensor y = conv.forward(x, true);
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Conv2dForward);
+BENCHMARK(BM_Conv2dForward)->Arg(0)->Arg(1);
 
 void BM_Conv2dBackward(benchmark::State& state) {
   Rng rng(3);
-  nn::Conv2d conv(6, 16, 5, 1, 0, rng);
-  Tensor x(Shape{8, 6, 14, 14});
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    x[static_cast<std::size_t>(i)] = rng.normal();
-  }
+  Tensor x;
+  nn::Conv2d conv = make_conv(state.range(0), rng, x);
   Tensor y = conv.forward(x, true);
   Tensor g(y.shape());
   for (std::int64_t i = 0; i < g.numel(); ++i) {
@@ -104,7 +174,36 @@ void BM_Conv2dBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(gx.data());
   }
 }
-BENCHMARK(BM_Conv2dBackward);
+BENCHMARK(BM_Conv2dBackward)->Arg(0)->Arg(1);
+
+// One local training step as the training loop runs it: forward,
+// cross-entropy, zero_grad, backward_params and an SGD step. Arguments:
+// architecture (0 = the CNN on MNIST at paper-cnn's batch 15, 1 = the MLP
+// at the default batch 32) and batch size.
+void BM_TrainStep(benchmark::State& state) {
+  nn::ModelSpec spec;
+  spec.arch = state.range(0) == 0 ? nn::Arch::kCNN : nn::Arch::kMLP;
+  auto model = nn::build_model(spec, 11);
+  const auto batch = static_cast<std::int64_t>(state.range(1));
+  Rng rng(12);
+  Tensor x(Shape{batch, 1, 28, 28});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[static_cast<std::size_t>(i)] = rng.uniform(0.0f, 1.0f);
+  }
+  std::vector<std::int64_t> labels(static_cast<std::size_t>(batch));
+  for (auto& l : labels) l = static_cast<std::int64_t>(rng.uniform_int(10));
+  nn::SoftmaxCrossEntropy ce;
+  optim::SGD sgd(0.01f);
+  for (auto _ : state) {
+    Tensor logits = model->forward(x, true);
+    benchmark::DoNotOptimize(ce.forward(logits, labels));
+    model->zero_grad();
+    model->backward_params(ce.backward());
+    sgd.step(*model);
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_TrainStep)->Args({0, 15})->Args({1, 32});
 
 // The FedTrip attaching operation on a CNN-sized parameter vector: measures
 // the actual cost behind the paper's "negligible 4K|w|" claim.

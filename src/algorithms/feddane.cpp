@@ -33,7 +33,7 @@ double FedDane::pre_round(std::vector<fl::ClientContext>& contexts,
       model.zero_grad();
       Tensor logits = model.forward(batch.inputs, /*train=*/false);
       ce.forward(logits, batch.labels);
-      model.backward(ce.backward());
+      model.backward_params(ce.backward());
       auto g = nn::flatten_gradients(model);
       const float w = static_cast<float>(end - start) /
                       static_cast<float>(total);

@@ -215,6 +215,12 @@ ThreadPool* Simulation::training_pool() {
 }
 
 double Simulation::evaluate(const std::vector<float>& params) {
+  if (params.size() != global_params_.size()) {
+    throw std::invalid_argument(
+        "evaluate got " + std::to_string(params.size()) +
+        " parameters, model expects " +
+        std::to_string(global_params_.size()));
+  }
   const std::size_t total =
       config_.eval_max_samples > 0
           ? std::min(config_.eval_max_samples, data_.test.size())

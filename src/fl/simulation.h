@@ -157,7 +157,8 @@ class Simulation {
   /// own workspace; before that (a socket coordinator never trains
   /// locally) it runs on the calling thread. Per-sample predictions do not
   /// depend on which samples share a forward pass, so the result is the
-  /// same double either way.
+  /// same double either way. Throws std::invalid_argument when `params`
+  /// does not have the configured model's size.
   double evaluate(const std::vector<float>& params);
 
   /// Replaces the initial global model (e.g. loaded from a checkpoint via

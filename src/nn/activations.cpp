@@ -6,16 +6,18 @@
 namespace fedtrip::nn {
 
 Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
-  Tensor out = input;
-  mask_ = Tensor(input.shape());
+  Tensor out(input.shape());
+  if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
   const std::int64_t n = input.numel();
+  const float* x = input.data();
+  float* y = out.data();
+  float* mask = mask_.data();
+  // Selects, not branches: x > 0 is false for -0, +0 and NaN, which all
+  // give +0 and a zero mask.
   for (std::int64_t i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (out[idx] > 0.0f) {
-      mask_[idx] = 1.0f;
-    } else {
-      out[idx] = 0.0f;
-    }
+    const bool pos = x[i] > 0.0f;
+    y[i] = pos ? x[i] : 0.0f;
+    mask[i] = pos ? 1.0f : 0.0f;
   }
   last_per_sample_ = input.shape()[0] > 0 ? n / input.shape()[0] : 0;
   return out;

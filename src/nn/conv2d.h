@@ -1,6 +1,8 @@
 // Conv2d: 2-D convolution via im2col + GEMM, with full backward.
 #pragma once
 
+#include <vector>
+
 #include "nn/module.h"
 #include "tensor/rng.h"
 
@@ -13,6 +15,7 @@ class Conv2d : public Module {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
 
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override {
@@ -39,6 +42,10 @@ class Conv2d : public Module {
   Tensor grad_weight_;
   Tensor grad_bias_;
   Tensor input_cache_;  // (N, C, H, W)
+  // im2col scratch, kept across calls (a model belongs to one thread at a
+  // time). A 1x1 output stacks the batch's columns here too.
+  std::vector<float> cols_;
+  std::vector<float> dcols_;
   // Cached output spatial geometry from the last forward.
   std::int64_t last_h_ = 0, last_w_ = 0, last_out_h_ = 0, last_out_w_ = 0;
 };

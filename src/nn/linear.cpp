@@ -39,6 +39,16 @@ Tensor Linear::forward(const Tensor& input, bool /*train*/) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  // grad_input (B x in) = grad_output (B x out) * W (out x in)
+  const std::int64_t batch = grad_output.shape()[0];
+  Tensor grad_input(Shape{batch, in_features_});
+  ops::gemm(grad_output.data(), weight_.data(), grad_input.data(), batch,
+            out_features_, in_features_);
+  return grad_input;
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
   assert(grad_output.shape().rank() == 2 &&
          grad_output.shape()[1] == out_features_);
   const std::int64_t batch = grad_output.shape()[0];
@@ -52,11 +62,6 @@ Tensor Linear::backward(const Tensor& grad_output) {
     const float* row = grad_output.data() + n * out_features_;
     for (std::int64_t j = 0; j < out_features_; ++j) grad_bias_[j] += row[j];
   }
-  // grad_input (B x in) = grad_output (B x out) * W (out x in)
-  Tensor grad_input(Shape{batch, in_features_});
-  ops::gemm(grad_output.data(), weight_.data(), grad_input.data(), batch,
-            out_features_, in_features_);
-  return grad_input;
 }
 
 }  // namespace fedtrip::nn

@@ -14,6 +14,7 @@ class Linear : public Module {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
 
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override {

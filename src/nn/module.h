@@ -2,7 +2,9 @@
 //
 // There is deliberately no autograd tape: every layer implements an explicit
 // backward() that consumes the gradient w.r.t. its output and produces the
-// gradient w.r.t. its input, accumulating parameter gradients along the way.
+// gradient w.r.t. its input, accumulating parameter gradients along the way;
+// backward_params() is the same pass for a caller that needs only the
+// parameter gradients.
 // This keeps the per-layer FLOP accounting (Tables III/V/VIII of the paper)
 // exact and auditable.
 #pragma once
@@ -29,6 +31,14 @@ class Module {
   /// gradients (+=) and returns dL/d input. Must be called after forward()
   /// on the same batch.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  /// Accumulates the parameter gradients backward() would (+=), and may
+  /// skip dL/d input, which the caller does not read: what training calls
+  /// on the first layers of a model. Must be called after forward() on the
+  /// same batch. By default it runs backward() and drops the result.
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
 
   /// Learnable parameter tensors (may be empty).
   virtual std::vector<Tensor*> parameters() { return {}; }

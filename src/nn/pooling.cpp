@@ -21,30 +21,32 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
   last_out_per_sample_ = channels * out_h * out_w;
 
+  // Without padding every window lies inside the plane: the last one
+  // ends at (out_h - 1) * stride + kernel - 1 <= h - 1. A window with no
+  // element above -inf (all -inf or NaN) routes its gradient to its own
+  // first element.
   std::size_t oi = 0;
   for (std::int64_t n = 0; n < batch; ++n) {
     for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + (n * channels + c) * h * w;
       const std::int64_t plane_base = (n * channels + c) * h * w;
+      const float* plane = input.data() + plane_base;
       for (std::int64_t oh = 0; oh < out_h; ++oh) {
         for (std::int64_t ow = 0; ow < out_w; ++ow, ++oi) {
+          const std::int64_t first = oh * stride_ * w + ow * stride_;
           float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
+          std::int64_t best_idx = first;
           for (std::int64_t ki = 0; ki < kernel_; ++ki) {
-            const std::int64_t ih = oh * stride_ + ki;
-            if (ih >= h) continue;
             for (std::int64_t kj = 0; kj < kernel_; ++kj) {
-              const std::int64_t iw = ow * stride_ + kj;
-              if (iw >= w) continue;
-              const float v = plane[ih * w + iw];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + ih * w + iw;
-              }
+              const std::int64_t idx = first + ki * w + kj;
+              const float v = plane[idx];
+              // The first strictly greater element wins; NaN never does.
+              const bool greater = v > best;
+              best = greater ? v : best;
+              best_idx = greater ? idx : best_idx;
             }
           }
           out[oi] = best;
-          argmax_[oi] = best_idx;
+          argmax_[oi] = plane_base + best_idx;
         }
       }
     }

@@ -40,6 +40,12 @@ class Sequential : public Module {
     return g;
   }
 
+  /// Backward for the parameter gradients alone: stops at the first module
+  /// with parameters, which computes no input gradient.
+  void backward_params(const Tensor& grad_output) override {
+    backward_params_below(modules_.size(), grad_output);
+  }
+
   /// Runs forward through the first `feature_layers()` modules and returns
   /// the representation (for MOON). Also caches layer inputs so
   /// backward_from() can be used afterwards.
@@ -73,14 +79,11 @@ class Sequential : public Module {
   }
 
   /// Backward starting at the feature boundary: propagates `grad_features`
-  /// through modules [0, feature_boundary()). Parameter gradients accumulate
-  /// on top of whatever a full backward() already produced.
-  Tensor backward_from_features(const Tensor& grad_features) {
-    Tensor g = grad_features;
-    for (std::size_t i = feature_boundary(); i-- > 0;) {
-      g = modules_[i]->backward(g);
-    }
-    return g;
+  /// through modules [0, feature_boundary()) for their parameter gradients,
+  /// which accumulate on top of whatever a full backward() already
+  /// produced. Like backward_params(), it computes no input gradient.
+  void backward_from_features(const Tensor& grad_features) {
+    backward_params_below(feature_boundary(), grad_features);
   }
 
   /// Index of the first "head" module. By convention the head is the final
@@ -125,6 +128,18 @@ class Sequential : public Module {
   }
 
  private:
+  // Parameter-gradient backward through modules [0, end): full backward
+  // down to the first module with parameters, then its backward_params;
+  // the modules before it have no gradient to produce.
+  void backward_params_below(std::size_t end, const Tensor& grad_output) {
+    std::size_t first = 0;
+    while (first < end && modules_[first]->parameters().empty()) ++first;
+    if (first == end) return;
+    Tensor g = grad_output;
+    for (std::size_t i = end; --i > first;) g = modules_[i]->backward(g);
+    modules_[first]->backward_params(g);
+  }
+
   std::vector<ModulePtr> modules_;
 };
 

@@ -2,8 +2,9 @@
 // nn layers. All matrices are row-major.
 //
 // Exactness contract of the GEMM family. Results are bit-identical to the
-// plain scalar loops, for every shape and on every path a kernel takes
-// (tests/tensor/ops_property_test.cpp pins them against frozen copies):
+// plain scalar loops, for every shape, on every path a kernel takes and in
+// every instruction-set variant (tests/tensor/ops_property_test.cpp pins
+// each variant the host can run against frozen copies):
 //   * gemm / gemm_tn: element (i, j) starts from 0 when beta == 0, else
 //     from c * beta when beta != 1, else from c; then, for p = 0 .. k-1 in
 //     ascending order, it adds (alpha * a_ip) * b_pj, skipping the term when
@@ -11,6 +12,9 @@
 //   * gemm_nt: element (i, j) is alpha * dot + (beta == 0 ? 0 : beta * c),
 //     where dot starts from +0.0f and adds a_ip * b_jp for p = 0 .. k-1 in
 //     ascending order, with no skip.
+//   * add_outer_products: element (i, j) starts from c and, for p = 0 ..
+//     k-1 in ascending order, becomes (0.0f + a_pi * b_pj) + c: exactly k
+//     calls of gemm_nt with k = 1 and alpha = beta = 1, one per p.
 //   * Every add and multiply is a separately rounded float operation: no
 //     fused multiply-add, no reassociation, no split accumulators.
 // A kernel may block, pack and vectorise across output elements, but never
@@ -19,9 +23,29 @@
 // what lets evaluation split a batch over threads without changing a bit.
 // Where NaNs of different sign or payload meet in one sum, which of them
 // the result carries is left open, as IEEE 754 leaves it.
+//
+// Instruction-set variants. On x86, ops.cpp compiles every kernel three
+// times from one source: for AVX-512F, for AVX2 and for the baseline (SSE2;
+// elsewhere the baseline alone, for the target's own vectors),
+// each with block shapes measured for it (bench_kernels runs the GEMM
+// shapes once per variant). The first variant in gemm_variants() that the
+// CPU supports, asked once through __builtin_cpu_supports, runs every
+// call; nothing else selects it. Two build rules keep the variants exact
+// and honest:
+//   * ops.cpp is compiled with -ffp-contract=off. AVX-512F implies FMA, and
+//     GCC (C++ default -ffp-contract=fast) and clang (default "on") would
+//     otherwise fuse acc + a * b into one rounding. ops.cpp.o must contain
+//     no vfmadd instruction.
+//   * Variants are target("...")-attributed functions chosen by
+//     __builtin_cpu_supports, never target_clones("arch=..."): GCC 12
+//     resolves arch= clones with __builtin_cpu_is, which knows no recent
+//     server models (on a family 6, model 207 Xeon it returns 0 for
+//     skylake-avx512, icelake-server and sapphirerapids) and so silently
+//     runs the default clone.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "tensor/tensor.h"
 
@@ -42,6 +66,35 @@ void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, float alpha = 1.0f,
              float beta = 0.0f);
+
+/// C(M x N) += the outer products of row p of A (K x M) and row p of
+/// B (K x N), for p = 0 .. K-1 in order (see the contract above). A conv
+/// layer's weight gradient over a batch of 1x1 outputs.
+void add_outer_products(const float* a, const float* b, float* c,
+                        std::int64_t m, std::int64_t k, std::int64_t n);
+
+using GemmFn = void (*)(const float*, const float*, float*, std::int64_t,
+                        std::int64_t, std::int64_t, float, float);
+using OuterFn = void (*)(const float*, const float*, float*, std::int64_t,
+                         std::int64_t, std::int64_t);
+
+/// One instruction-set build of the GEMM family.
+struct GemmKernels {
+  const char* isa;        // "avx512f", "avx2" or "baseline"
+  bool (*supported)();    // whether this CPU can run it
+  GemmFn gemm;
+  GemmFn gemm_tn;
+  GemmFn gemm_nt;
+  OuterFn add_outer_products;
+};
+
+/// Every variant compiled in, widest instruction set first; the baseline
+/// is last and runs everywhere.
+std::span<const GemmKernels> gemm_variants();
+
+/// The variant gemm, gemm_tn, gemm_nt and add_outer_products run: the
+/// first in gemm_variants() this CPU supports.
+const GemmKernels& active_gemm();
 
 /// Tensor convenience wrappers (shapes asserted).
 Tensor matmul(const Tensor& a, const Tensor& b);

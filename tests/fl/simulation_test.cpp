@@ -217,6 +217,19 @@ TEST(SimulationTest, EvaluateOnLoadedParams) {
   }
 }
 
+TEST(SimulationTest, EvaluateRejectsParamsOfTheWrongSize) {
+  auto cfg = testing::tiny_config();
+  Simulation sim(cfg, std::make_unique<algorithms::FedAvg>());
+  const std::vector<float> params = sim.run().final_params;
+  std::vector<float> short_params(params.begin(), params.end() - 1);
+  EXPECT_THROW(sim.evaluate(short_params), std::invalid_argument);
+  std::vector<float> long_params = params;
+  long_params.push_back(0.0f);
+  EXPECT_THROW(sim.evaluate(long_params), std::invalid_argument);
+  EXPECT_THROW(sim.evaluate({}), std::invalid_argument);
+  EXPECT_NO_THROW(sim.evaluate(params));
+}
+
 TEST(SimulationTest, CnnEvaluationSplitOverThreadsMatchesOneModel) {
   auto cfg = testing::tiny_config();
   cfg.model.arch = nn::Arch::kCNN;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gradcheck_util.h"
 
 namespace fedtrip::nn {
@@ -32,6 +34,21 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gx[1], 5.0f);  // position of the max
   EXPECT_FLOAT_EQ(gx[2], 0.0f);
   EXPECT_FLOAT_EQ(gx[3], 0.0f);
+}
+
+TEST(MaxPoolTest, WindowWithoutMaximumRoutesToItself) {
+  // Sample 1 is all -inf, so no element of its window is above the
+  // starting -inf: its gradient goes to its own window, not to element 0
+  // of sample 0.
+  MaxPool2d pool(2, 2);
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor x(Shape{2, 1, 2, 2}, {1.0f, 4.0f, 3.0f, 2.0f, -inf, -inf, -inf, -inf});
+  Tensor y = pool.forward(x, true);
+  EXPECT_EQ(y[1], -inf);
+  Tensor gx = pool.backward(Tensor(Shape{2, 1, 1, 1}, {5.0f, 100.0f}));
+  EXPECT_EQ(gx[0], 0.0f);
+  EXPECT_EQ(gx[1], 5.0f);
+  EXPECT_EQ(gx[4], 100.0f);
 }
 
 TEST(MaxPoolTest, NegativeInputsHandled) {

@@ -1,8 +1,10 @@
-// Property sweeps over kernel shapes: GEMM variants against a naive
-// reference and, bit for bit, against the scalar kernels they replaced;
-// im2col/col2im adjointness, across a parameter grid.
+// Property sweeps over kernel shapes: GEMM kernels against a naive
+// reference and, bit for bit, against the scalar kernels they replaced, in
+// every instruction-set variant the host can run; im2col/col2im against
+// their frozen loops and adjointness, across a parameter grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -10,86 +12,46 @@
 #include <tuple>
 #include <vector>
 
+#include "frozen_kernels.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
 namespace fedtrip {
 namespace {
 
-// The scalar GEMM kernels, frozen: the reference every ops:: GEMM must
-// reproduce bit for bit (the exactness contract in tensor/ops.h).
-namespace frozen {
+using GemmFn = ops::GemmFn;
 
-inline void gemm_row_update(const float* b_row, float* c_row, float a_ik,
-                            std::int64_t n) {
-  for (std::int64_t j = 0; j < n; ++j) c_row[j] += a_ik * b_row[j];
-}
-
-void gemm(const float* a, const float* b, float* c, std::int64_t m,
-          std::int64_t k, std::int64_t n, float alpha, float beta) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* c_row = c + i * n;
-    if (beta == 0.0f) {
-      std::memset(c_row, 0, static_cast<std::size_t>(n) * sizeof(float));
-    } else if (beta != 1.0f) {
-      for (std::int64_t j = 0; j < n; ++j) c_row[j] *= beta;
-    }
-    const float* a_row = a + i * k;
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float a_ip = alpha * a_row[p];
-      if (a_ip != 0.0f) gemm_row_update(b + p * n, c_row, a_ip, n);
-    }
+// C += row p of A (k x m) times row p of B (k x n), one k = 1 gemm_nt per
+// p: what add_outer_products must reproduce.
+void frozen_add_outer(const float* a, const float* b, float* c,
+                      std::int64_t m, std::int64_t k, std::int64_t n) {
+  for (std::int64_t p = 0; p < k; ++p) {
+    frozen::gemm_nt(a + p * m, b + p * n, c, m, 1, n, 1.0f, 1.0f);
   }
 }
 
-void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
-             std::int64_t k, std::int64_t n, float alpha, float beta) {
-  // A is stored (k x m); we compute C(m x n) = alpha A^T B + beta C.
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* c_row = c + i * n;
-    if (beta == 0.0f) {
-      std::memset(c_row, 0, static_cast<std::size_t>(n) * sizeof(float));
-    } else if (beta != 1.0f) {
-      for (std::int64_t j = 0; j < n; ++j) c_row[j] *= beta;
-    }
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float a_pi = alpha * a[p * m + i];
-      if (a_pi != 0.0f) gemm_row_update(b + p * n, c_row, a_pi, n);
-    }
-  }
-}
-
-void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
-             std::int64_t k, std::int64_t n, float alpha, float beta) {
-  // B is stored (n x k); C(m x n) = alpha A B^T + beta C. Dot-product form.
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* b_row = b + j * k;
-      float acc = 0.0f;
-      for (std::int64_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      c_row[j] = alpha * acc + (beta == 0.0f ? 0.0f : beta * c_row[j]);
-    }
-  }
-}
-
-}  // namespace frozen
-
-using GemmFn = void (*)(const float*, const float*, float*, std::int64_t,
-                        std::int64_t, std::int64_t, float, float);
-
-struct Variant {
+struct Kernel {
   const char* name;
-  GemmFn kernel;
+  GemmFn ops::GemmKernels::*kernel;
   GemmFn reference;
 };
 
-const Variant kVariants[] = {
-    {"gemm", &ops::gemm, &frozen::gemm},
-    {"gemm_tn", &ops::gemm_tn, &frozen::gemm_tn},
-    {"gemm_nt", &ops::gemm_nt, &frozen::gemm_nt},
+const Kernel kKernels[] = {
+    {"gemm", &ops::GemmKernels::gemm, &frozen::gemm},
+    {"gemm_tn", &ops::GemmKernels::gemm_tn, &frozen::gemm_tn},
+    {"gemm_nt", &ops::GemmKernels::gemm_nt, &frozen::gemm_nt},
 };
+
+// The instruction-set variants this CPU can run: the ISA axis of every
+// check below. The baseline runs everywhere, so a wider host still checks
+// it.
+std::vector<const ops::GemmKernels*> runnable_variants() {
+  std::vector<const ops::GemmKernels*> out;
+  for (const ops::GemmKernels& v : ops::gemm_variants()) {
+    if (v.supported()) out.push_back(&v);
+  }
+  return out;
+}
 
 // (alpha, beta) pairs: plain product, accumulate, scaled both ways, and an
 // alpha of zero, which skips every term of gemm/gemm_tn.
@@ -100,6 +62,7 @@ enum class Fill {
   kNormal,         // N(0, 1) with a fifth exact zeros
   kSpecial,        // plus ±0, subnormals and a few ±Inf and NaN
   kMixedNaNSigns,  // kSpecial with NaNs of both signs
+  kNoZeros,        // kSpecial without exact zeros: no term is skipped
 };
 
 // The NaN an invalid operation produces on this machine: what the engine's
@@ -119,6 +82,7 @@ void fill(std::vector<float>& v, Rng& rng, Fill how) {
     if (how == Fill::kNormal) continue;
     if (r < 4) x = -0.0f;
     if (r >= 20 && r < 28) x = (r % 2 ? -3.0f : 5.0f) * tiny;  // subnormal
+    if (how == Fill::kNoZeros && x == 0.0f) x = r % 2 ? -1.5f : 0.25f;
   }
   if (how == Fill::kNormal || v.empty()) return;
   // A handful of non-finite values, so most outputs stay finite.
@@ -145,8 +109,8 @@ using GemmShape = std::tuple<int, int, int>;  // m, k, n
 
 class GemmPropertyTest : public ::testing::TestWithParam<GemmShape> {
  protected:
-  // Every kernel and (alpha, beta) on inputs filled `how`, against the
-  // frozen kernel on the same bytes.
+  // Every kernel of every runnable variant and every (alpha, beta) on
+  // inputs filled `how`, against the frozen kernel on the same bytes.
   void check_bits(Fill how) {
     const auto [m, k, n] = GetParam();
     Rng rng(static_cast<std::uint64_t>(m * 10007 + k * 101 + n) ^
@@ -157,21 +121,34 @@ class GemmPropertyTest : public ::testing::TestWithParam<GemmShape> {
     std::vector<float> c0(static_cast<std::size_t>(m) * n);
     fill(a, rng, how);
     fill(b, rng, how);
-    fill(c0, rng, how);
-    for (const Variant& v : kVariants) {
-      for (const auto& ab : kAlphaBeta) {
-        std::vector<float> want = c0, got = c0;
-        v.reference(a.data(), b.data(), want.data(), m, k, n, ab[0], ab[1]);
-        v.kernel(a.data(), b.data(), got.data(), m, k, n, ab[0], ab[1]);
-        // Which NaN a sum of two different NaNs returns is left open by
-        // IEEE 754; only then are NaNs compared as one pattern.
-        if (how == Fill::kMixedNaNSigns) {
-          want = nan_canonical(std::move(want));
-          got = nan_canonical(std::move(got));
-        }
-        ASSERT_TRUE(same_bytes(got, want))
-            << v.name << " alpha=" << ab[0] << " beta=" << ab[1];
+    fill(c0, rng, how == Fill::kNoZeros ? Fill::kSpecial : how);
+    // Which NaN a sum of two different NaNs returns is left open by IEEE
+    // 754; only then are NaNs compared as one pattern.
+    const auto same = [&](std::vector<float> got, std::vector<float> want) {
+      if (how == Fill::kMixedNaNSigns) {
+        want = nan_canonical(std::move(want));
+        got = nan_canonical(std::move(got));
       }
+      return same_bytes(got, want);
+    };
+    for (const ops::GemmKernels* v : runnable_variants()) {
+      for (const Kernel& kernel : kKernels) {
+        for (const auto& ab : kAlphaBeta) {
+          std::vector<float> want = c0, got = c0;
+          kernel.reference(a.data(), b.data(), want.data(), m, k, n, ab[0],
+                           ab[1]);
+          (v->*kernel.kernel)(a.data(), b.data(), got.data(), m, k, n, ab[0],
+                              ab[1]);
+          ASSERT_TRUE(same(got, want)) << v->isa << " " << kernel.name
+                                       << " alpha=" << ab[0]
+                                       << " beta=" << ab[1];
+        }
+      }
+      // add_outer_products reads A as (k x m).
+      std::vector<float> want = c0, got = c0;
+      frozen_add_outer(a.data(), b.data(), want.data(), m, k, n);
+      v->add_outer_products(a.data(), b.data(), got.data(), m, k, n);
+      ASSERT_TRUE(same(got, want)) << v->isa << " add_outer_products";
     }
   }
 };
@@ -236,21 +213,42 @@ TEST_P(GemmPropertyTest, MixedSignNaNsStayNaN) {
   check_bits(Fill::kMixedNaNSigns);
 }
 
+TEST_P(GemmPropertyTest, NoSkippedTermBitIdentical) {
+  check_bits(Fill::kNoZeros);
+}
+
 std::vector<GemmShape> gemm_shapes() {
   std::vector<GemmShape> shapes = {
       {1, 1, 1},    {1, 7, 3},    {5, 1, 9},   {8, 8, 8},
       {3, 17, 2},   {16, 5, 11},  {2, 2, 32},  {31, 13, 7},
       {5, 0, 3},    {5, 0, 20},   // k = 0: C is only scaled
-      {120, 400, 1},              // CNN last conv forward (1x1 output)
-      {120, 1, 400},              // its weight gradient (gemm_nt)
-      {400, 120, 1},              // its input gradient (gemm_tn)
+      {120, 400, 1},              // CNN last conv forward, one sample
+      {120, 400, 15},             // ... over paper-cnn's batch
+      {120, 1, 400},              // one sample's weight gradient (gemm_nt)
+      {400, 120, 15},             // the batch's input gradient (gemm_tn)
+      {6, 25, 784},               // CNN conv1 forward
+      {16, 150, 100},             // CNN conv2 forward
+      {150, 16, 100},             // its input gradient (gemm_tn)
       {32, 784, 100},             // MLP hidden layer forward (gemm_nt)
   };
   // Every narrow width and the wide path on both sides of the cut; 19 rows
-  // leave a tail after each row block.
+  // leave a tail after each row block, and the widths past 16 leave a
+  // partial last vector at 4, 8 and 16 lanes.
   for (int n = 1; n <= 17; ++n) shapes.emplace_back(19, 23, n);
-  for (int n : {31, 100, 784}) shapes.emplace_back(19, 23, n);
+  for (int n : {31, 33, 65, 100, 784}) shapes.emplace_back(19, 23, n);
   return shapes;
+}
+
+TEST(GemmVariantsTest, BaselineLastAndTheFirstSupportedRuns) {
+  const auto variants = ops::gemm_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ(variants.back().isa, "baseline");
+  EXPECT_TRUE(variants.back().supported());
+  const auto first = std::find_if(variants.begin(), variants.end(),
+                                  [](const ops::GemmKernels& v) {
+                                    return v.supported();
+                                  });
+  EXPECT_EQ(&ops::active_gemm(), &*first);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeGrid, GemmPropertyTest,
@@ -288,6 +286,28 @@ TEST_P(Im2ColPropertyTest, AdjointIdentity) {
   EXPECT_NEAR(lhs, rhs, 1e-2 * (std::abs(lhs) + 1.0));
 }
 
+TEST_P(Im2ColPropertyTest, BitIdenticalToFrozenLoops) {
+  const auto [c, h, w, kk, stride, pad] = GetParam();
+  const std::int64_t oh = ops::conv_out_size(h, kk, stride, pad);
+  const std::int64_t ow = ops::conv_out_size(w, kk, stride, pad);
+  Rng rng(static_cast<std::uint64_t>(c * 7 + h * 3 + kk + stride * 1000));
+  const std::size_t img_n = static_cast<std::size_t>(c * h * w);
+  const std::size_t col_n = static_cast<std::size_t>(c * kk * kk * oh * ow);
+  std::vector<float> img(img_n), cols(col_n);
+  fill(img, rng, Fill::kSpecial);
+  fill(cols, rng, Fill::kSpecial);
+  // Start from garbage so every element im2col must write is checked.
+  std::vector<float> want(col_n, 7.0f), got(col_n, 7.0f);
+  frozen::im2col(img.data(), c, h, w, kk, kk, stride, pad, want.data());
+  ops::im2col(img.data(), c, h, w, kk, kk, stride, pad, got.data());
+  EXPECT_TRUE(same_bytes(got, want)) << "im2col";
+  // col2im accumulates into what the image holds.
+  std::vector<float> want_img = img, got_img = img;
+  frozen::col2im(cols.data(), c, h, w, kk, kk, stride, pad, want_img.data());
+  ops::col2im(cols.data(), c, h, w, kk, kk, stride, pad, got_img.data());
+  EXPECT_TRUE(same_bytes(got_img, want_img)) << "col2im";
+}
+
 TEST_P(Im2ColPropertyTest, ColumnsContainOnlyImagePixelsOrZero) {
   const auto [c, h, w, kk, stride, pad] = GetParam();
   const std::int64_t oh = ops::conv_out_size(h, kk, stride, pad);
@@ -317,7 +337,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConvGeom{1, 4, 4, 1, 1, 0}, ConvGeom{1, 5, 5, 3, 1, 1},
                       ConvGeom{2, 6, 6, 3, 2, 1}, ConvGeom{3, 8, 8, 5, 1, 2},
                       ConvGeom{2, 7, 5, 3, 2, 0}, ConvGeom{1, 9, 9, 5, 2, 2},
-                      ConvGeom{4, 4, 4, 2, 2, 0}));
+                      ConvGeom{4, 4, 4, 2, 2, 0}, ConvGeom{2, 5, 7, 3, 3, 2},
+                      // The CNN's three convs and AlexNet's first two.
+                      ConvGeom{1, 28, 28, 5, 1, 2}, ConvGeom{6, 14, 14, 5, 1, 0},
+                      ConvGeom{16, 5, 5, 5, 1, 0}, ConvGeom{3, 32, 32, 3, 2, 1},
+                      ConvGeom{16, 8, 8, 3, 1, 1}));
 
 }  // namespace
 }  // namespace fedtrip
