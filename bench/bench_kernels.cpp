@@ -176,6 +176,48 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(0)->Arg(1);
 
+// im2col and col2im of one sample, as the convs run them per sample: the
+// CNN's conv1 (1x28x28, 5x5, pad 2; arg 0) and conv2 (6x14x14, 5x5; arg 1).
+struct ImageGeom {
+  std::int64_t channels, hw, kernel, pad;
+};
+
+ImageGeom image_geom(std::int64_t which) {
+  return which == 0 ? ImageGeom{1, 28, 5, 2} : ImageGeom{6, 14, 5, 0};
+}
+
+void BM_Im2col(benchmark::State& state) {
+  const ImageGeom g = image_geom(state.range(0));
+  const std::int64_t out = ops::conv_out_size(g.hw, g.kernel, 1, g.pad);
+  Rng rng(4);
+  std::vector<float> img(g.channels * g.hw * g.hw);
+  std::vector<float> cols(g.channels * g.kernel * g.kernel * out * out);
+  for (auto& v : img) v = rng.normal();
+  for (auto _ : state) {
+    ops::im2col(img.data(), g.channels, g.hw, g.hw, g.kernel, g.kernel, 1,
+                g.pad, cols.data());
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Im2col)->Arg(0)->Arg(1);
+
+void BM_Col2im(benchmark::State& state) {
+  const ImageGeom g = image_geom(state.range(0));
+  const std::int64_t out = ops::conv_out_size(g.hw, g.kernel, 1, g.pad);
+  Rng rng(5);
+  std::vector<float> img(g.channels * g.hw * g.hw);
+  std::vector<float> cols(g.channels * g.kernel * g.kernel * out * out);
+  for (auto& v : cols) v = rng.normal();
+  for (auto _ : state) {
+    ops::col2im(cols.data(), g.channels, g.hw, g.hw, g.kernel, g.kernel, 1,
+                g.pad, img.data());
+    benchmark::DoNotOptimize(img.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Col2im)->Arg(0)->Arg(1);
+
 // One local training step as the training loop runs it: forward,
 // cross-entropy, zero_grad, backward_params and an SGD step. Arguments:
 // architecture (0 = the CNN on MNIST at paper-cnn's batch 15, 1 = the MLP

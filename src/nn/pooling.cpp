@@ -1,5 +1,6 @@
 #include "nn/pooling.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -21,8 +22,10 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
   last_out_per_sample_ = channels * out_h * out_w;
 
-  // Without padding every window lies inside the plane: the last one
-  // ends at (out_h - 1) * stride + kernel - 1 <= h - 1. A window with no
+  // Without padding every window starts inside the plane, and on a plane
+  // at least as large as the kernel it ends inside too. A plane smaller
+  // than the kernel still gets one window (conv_out_size truncates toward
+  // zero), clipped here to the plane's rows and columns. A window with no
   // element above -inf (all -inf or NaN) routes its gradient to its own
   // first element.
   std::size_t oi = 0;
@@ -31,12 +34,14 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
       const std::int64_t plane_base = (n * channels + c) * h * w;
       const float* plane = input.data() + plane_base;
       for (std::int64_t oh = 0; oh < out_h; ++oh) {
+        const std::int64_t rows = std::min(kernel_, h - oh * stride_);
         for (std::int64_t ow = 0; ow < out_w; ++ow, ++oi) {
+          const std::int64_t cols = std::min(kernel_, w - ow * stride_);
           const std::int64_t first = oh * stride_ * w + ow * stride_;
           float best = -std::numeric_limits<float>::infinity();
           std::int64_t best_idx = first;
-          for (std::int64_t ki = 0; ki < kernel_; ++ki) {
-            for (std::int64_t kj = 0; kj < kernel_; ++kj) {
+          for (std::int64_t ki = 0; ki < rows; ++ki) {
+            for (std::int64_t kj = 0; kj < cols; ++kj) {
               const std::int64_t idx = first + ki * w + kj;
               const float v = plane[idx];
               // The first strictly greater element wins; NaN never does.

@@ -40,7 +40,9 @@ struct WideArgs {
 //   kWideRows x kWideVecs   rows x vectors of C a wide block keeps in
 //                           registers;
 //   kDenseBlocks            whether a wide row block with no skipped term
-//                           drops the blend;
+//                           drops the blend (on AVX2 and SSE2 an extra
+//                           instruction per vector; on AVX-512 folded
+//                           into a masked add);
 //   kNarrowCols             below this many output columns gemm and
 //                           gemm_tn take the narrow kernel, which holds
 //                           kNarrowVecs vectors of rows;
@@ -160,6 +162,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+namespace {
+
 // The output columns ow whose input column ow * stride - pad + kj lies in
 // [0, width): [lo, hi).
 void valid_cols(std::int64_t out_w, std::int64_t width, std::int64_t kj,
@@ -171,6 +175,8 @@ void valid_cols(std::int64_t out_w, std::int64_t width, std::int64_t kj,
   hi = last < 0 ? 0 : std::min(out_w, last / stride + 1);
   lo = std::min(lo, hi);
 }
+
+}  // namespace
 
 void im2col(const float* img, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,

@@ -342,11 +342,14 @@ TEST(ActivationBitsTest, ReluMatchesFrozenOnSpecialValues) {
 }
 
 TEST(PoolingBitsTest, MaxPoolMatchesFrozenOnSpecialValues) {
-  for (const auto& [kernel, stride, hw] :
-       {std::tuple<int, int, int>{2, 2, 28}, {2, 2, 9}, {3, 2, 11},
-        {2, 1, 6}}) {
-    Rng rng(static_cast<std::uint64_t>(kernel * 100 + stride * 10 + hw));
-    const Shape shape{3, 2, hw, hw};
+  // (kernel, stride, h, w); the last three have planes smaller than the
+  // kernel in one or both dimensions, whose one window is clipped.
+  for (const auto& [kernel, stride, h, w] :
+       {std::tuple<int, int, int, int>{2, 2, 28, 28}, {2, 2, 9, 9},
+        {3, 2, 11, 11}, {2, 1, 6, 6}, {2, 2, 1, 1}, {2, 2, 1, 5},
+        {3, 2, 2, 9}}) {
+    Rng rng(static_cast<std::uint64_t>(kernel * 100 + stride * 10 + h));
+    const Shape shape{3, 2, h, w};
     const Tensor x(shape, special_values(static_cast<std::size_t>(
                                              shape.numel()),
                                          rng));
@@ -355,14 +358,15 @@ TEST(PoolingBitsTest, MaxPoolMatchesFrozenOnSpecialValues) {
         frozen_maxpool(x, kernel, stride, want_out);
     // The one behaviour change: a window with no element above -inf (all
     // -inf or NaN) routes its gradient to its own first element.
-    const std::int64_t out_hw = ops::conv_out_size(hw, kernel, stride, 0);
+    const std::int64_t out_h = ops::conv_out_size(h, kernel, stride, 0);
+    const std::int64_t out_w = ops::conv_out_size(w, kernel, stride, 0);
     for (std::size_t oi = 0; oi < argmax.size(); ++oi) {
       if (want_out[oi] > -std::numeric_limits<float>::infinity()) continue;
-      const std::int64_t plane = static_cast<std::int64_t>(oi) /
-                                 (out_hw * out_hw);
-      const std::int64_t oh = (static_cast<std::int64_t>(oi) / out_hw) % out_hw;
-      const std::int64_t ow = static_cast<std::int64_t>(oi) % out_hw;
-      argmax[oi] = plane * hw * hw + oh * stride * hw + ow * stride;
+      const auto o = static_cast<std::int64_t>(oi);
+      const std::int64_t plane = o / (out_h * out_w);
+      const std::int64_t oh = (o / out_w) % out_h;
+      const std::int64_t ow = o % out_w;
+      argmax[oi] = plane * h * w + oh * stride * w + ow * stride;
     }
     const std::vector<float> g_values =
         special_values(want_out.size(), rng);
@@ -374,9 +378,11 @@ TEST(PoolingBitsTest, MaxPoolMatchesFrozenOnSpecialValues) {
 
     MaxPool2d pool(kernel, stride);
     const Tensor y = pool.forward(x, true);
-    EXPECT_TRUE(same_bytes(y, want_out)) << "forward k" << kernel;
+    EXPECT_TRUE(same_bytes(y, want_out))
+        << "forward k" << kernel << " " << h << "x" << w;
     const Tensor gx = pool.backward(Tensor(y.shape(), g_values));
-    EXPECT_TRUE(same_bytes(gx, want_grad)) << "backward k" << kernel;
+    EXPECT_TRUE(same_bytes(gx, want_grad))
+        << "backward k" << kernel << " " << h << "x" << w;
   }
 }
 

@@ -51,6 +51,26 @@ TEST(MaxPoolTest, WindowWithoutMaximumRoutesToItself) {
   EXPECT_EQ(gx[4], 100.0f);
 }
 
+TEST(MaxPoolTest, PlaneSmallerThanKernelPoolsOnlyItsOwnPixels) {
+  // 1x1 planes under a 2x2 window: conv_out_size still gives one output
+  // per plane, whose window holds only the plane's one pixel. Each plane's
+  // neighbour in memory is larger, so reading past the plane would show.
+  MaxPool2d pool(2, 2);
+  Tensor x(Shape{2, 2, 1, 1}, {1.0f, 4.0f, 3.0f, 8.0f});
+  Tensor y = pool.forward(x, true);
+  ASSERT_EQ(y.shape(), (Shape{2, 2, 1, 1}));
+  EXPECT_EQ(y[0], 1.0f);
+  EXPECT_EQ(y[1], 4.0f);
+  EXPECT_EQ(y[2], 3.0f);
+  EXPECT_EQ(y[3], 8.0f);
+  Tensor gx =
+      pool.backward(Tensor(Shape{2, 2, 1, 1}, {1.0f, 2.0f, 3.0f, 4.0f}));
+  EXPECT_EQ(gx[0], 1.0f);
+  EXPECT_EQ(gx[1], 2.0f);
+  EXPECT_EQ(gx[2], 3.0f);
+  EXPECT_EQ(gx[3], 4.0f);
+}
+
 TEST(MaxPoolTest, NegativeInputsHandled) {
   MaxPool2d pool(2, 2);
   Tensor x(Shape{1, 1, 2, 2}, {-5.0f, -1.0f, -3.0f, -2.0f});

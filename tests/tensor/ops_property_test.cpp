@@ -225,6 +225,7 @@ std::vector<GemmShape> gemm_shapes() {
       {120, 400, 1},              // CNN last conv forward, one sample
       {120, 400, 15},             // ... over paper-cnn's batch
       {120, 1, 400},              // one sample's weight gradient (gemm_nt)
+      {400, 120, 1},              // one sample's input gradient (gemm_tn)
       {400, 120, 15},             // the batch's input gradient (gemm_tn)
       {6, 25, 784},               // CNN conv1 forward
       {16, 150, 100},             // CNN conv2 forward
