@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
 
   const std::string usage = fl::experiment_usage();
 
-  // One handler per registered flag; boolean flags receive nullptr.
+  // One handler per registered flag; boolean flags receive nullptr. A
+  // handler throws std::invalid_argument on a value it cannot take.
   using Handler = std::function<void(const char*)>;
   const std::map<std::string, Handler> handlers = {
       {"--method", [&](const char* v) { method = v; }},
@@ -105,47 +106,42 @@ int main(int argc, char** argv) {
          cfg.heterogeneity = data::heterogeneity_from_name(v);
        }},
       {"--rounds",
-       [&](const char* v) {
-         cfg.rounds = static_cast<std::size_t>(std::atoi(v));
-       }},
+       [&](const char* v) { cfg.rounds = fl::parse_flag<std::size_t>(v); }},
       {"--clients",
        [&](const char* v) {
-         cfg.num_clients = static_cast<std::size_t>(std::atoi(v));
+         cfg.num_clients = fl::parse_flag<std::size_t>(v);
        }},
       {"--per-round",
        [&](const char* v) {
-         cfg.clients_per_round = static_cast<std::size_t>(std::atoi(v));
+         cfg.clients_per_round = fl::parse_flag<std::size_t>(v);
        }},
       {"--batch",
-       [&](const char* v) {
-         cfg.batch_size = static_cast<std::size_t>(std::atoi(v));
-       }},
+       [&](const char* v) { cfg.batch_size = fl::parse_flag<std::size_t>(v); }},
       {"--epochs",
        [&](const char* v) {
-         cfg.local_epochs = static_cast<std::size_t>(std::atoi(v));
+         cfg.local_epochs = fl::parse_flag<std::size_t>(v);
        }},
       {"--mu",
-       [&](const char* v) { params.mu = static_cast<float>(std::atof(v)); }},
+       [&](const char* v) { params.mu = fl::parse_flag<float>(v); }},
       {"--xi-scale",
-       [&](const char* v) {
-         params.xi_scale = static_cast<float>(std::atof(v));
-       }},
+       [&](const char* v) { params.xi_scale = fl::parse_flag<float>(v); }},
       {"--lr",
        [&](const char* v) {
-         cfg.lr = static_cast<float>(std::atof(v));
+         cfg.lr = fl::parse_flag<float>(v);
          params.lr = cfg.lr;
        }},
-      {"--scale", [&](const char* v) { cfg.data_scale = std::atof(v); }},
+      {"--scale",
+       [&](const char* v) { cfg.data_scale = fl::parse_flag<double>(v); }},
       {"--seed",
-       [&](const char* v) {
-         cfg.seed = static_cast<std::uint64_t>(std::atoll(v));
-       }},
+       [&](const char* v) { cfg.seed = fl::parse_flag<std::uint64_t>(v); }},
       {"--width-mult",
-       [&](const char* v) { cfg.model.width_mult = std::atof(v); }},
+       [&](const char* v) {
+         cfg.model.width_mult = fl::parse_flag<double>(v);
+       }},
       {"--client-data", [&](const char* v) { cfg.client_data = v; }},
       {"--shard-samples",
        [&](const char* v) {
-         cfg.shard_samples = static_cast<std::size_t>(std::atoll(v));
+         cfg.shard_samples = fl::parse_flag<std::size_t>(v);
        }},
       {"--no-participation",
        [&](const char*) { cfg.track_participation = false; }},
@@ -159,41 +155,52 @@ int main(int argc, char** argv) {
       {"--down-compressor", [&](const char* v) { cfg.comm.downlink = v; }},
       {"--topk-frac",
        [&](const char* v) {
-         cfg.comm.params.topk_fraction = static_cast<float>(std::atof(v));
+         cfg.comm.params.topk_fraction = fl::parse_flag<float>(v);
        }},
       {"--qsgd-bits",
-       [&](const char* v) { cfg.comm.params.qsgd_bits = std::atoi(v); }},
+       [&](const char* v) {
+         cfg.comm.params.qsgd_bits = fl::parse_flag<int>(v);
+       }},
       {"--mask-keep",
        [&](const char* v) {
-         cfg.comm.params.mask_keep = static_cast<float>(std::atof(v));
+         cfg.comm.params.mask_keep = fl::parse_flag<float>(v);
        }},
       {"--delta", [&](const char*) { cfg.comm.delta_uplink = true; }},
-      {"--byte-exact", [&](const char*) { cfg.comm.byte_exact = true; }},
       {"--network",
        [&](const char* v) {
          cfg.comm.network.profile = comm::net_profile_from_name(v);
        }},
       {"--bandwidth",
-       [&](const char* v) { cfg.comm.network.bandwidth_mbps = std::atof(v); }},
+       [&](const char* v) {
+         cfg.comm.network.bandwidth_mbps = fl::parse_flag<double>(v);
+       }},
       {"--latency",
-       [&](const char* v) { cfg.comm.network.latency_ms = std::atof(v); }},
+       [&](const char* v) {
+         cfg.comm.network.latency_ms = fl::parse_flag<double>(v);
+       }},
       {"--schedule", [&](const char* v) { cfg.sched.policy = v; }},
       {"--overselect",
        [&](const char* v) {
-         cfg.sched.overselect = static_cast<std::size_t>(std::atoi(v));
+         cfg.sched.overselect = fl::parse_flag<std::size_t>(v);
        }},
       {"--buffer",
        [&](const char* v) {
-         cfg.sched.buffer_size = static_cast<std::size_t>(std::atoi(v));
+         cfg.sched.buffer_size = fl::parse_flag<std::size_t>(v);
        }},
       {"--staleness-alpha",
-       [&](const char* v) { cfg.sched.staleness_alpha = std::atof(v); }},
+       [&](const char* v) {
+         cfg.sched.staleness_alpha = fl::parse_flag<double>(v);
+       }},
       {"--deadline",
-       [&](const char* v) { cfg.sched.deadline_s = std::atof(v); }},
+       [&](const char* v) {
+         cfg.sched.deadline_s = fl::parse_flag<double>(v);
+       }},
       {"--compute-profile",
        [&](const char* v) { cfg.clients.compute_profile = v; }},
       {"--seconds-per-sample",
-       [&](const char* v) { cfg.clients.seconds_per_sample = std::atof(v); }},
+       [&](const char* v) {
+         cfg.clients.seconds_per_sample = fl::parse_flag<double>(v);
+       }},
       {"--availability",
        [&](const char* v) {
          // "always" and "markov" are kinds; anything else is a CSV trace.
@@ -206,29 +213,30 @@ int main(int argc, char** argv) {
          }
        }},
       {"--avail-on",
-       [&](const char* v) { cfg.clients.markov_mean_on_s = std::atof(v); }},
-      {"--avail-off",
-       [&](const char* v) { cfg.clients.markov_mean_off_s = std::atof(v); }},
-      {"--workers-remote",
        [&](const char* v) {
-         workers_remote = static_cast<std::size_t>(std::atoi(v));
+         cfg.clients.markov_mean_on_s = fl::parse_flag<double>(v);
        }},
+      {"--avail-off",
+       [&](const char* v) {
+         cfg.clients.markov_mean_off_s = fl::parse_flag<double>(v);
+       }},
+      {"--workers-remote",
+       [&](const char* v) { workers_remote = fl::parse_flag<std::size_t>(v); }},
       {"--connect", [&](const char* v) { connect_list = v; }},
       {"--worker-bin", [&](const char* v) { worker_bin = v; }},
       {"--elastic", [&](const char*) { elastic = true; }},
       {"--heartbeat-interval",
-       [&](const char* v) { heartbeat_interval_s = std::atof(v); }},
+       [&](const char* v) {
+         heartbeat_interval_s = fl::parse_flag<double>(v);
+       }},
       {"--worker-deadline",
-       [&](const char* v) { elastic_cfg.worker_deadline_s = std::atof(v); }},
+       [&](const char* v) {
+         elastic_cfg.worker_deadline_s = fl::parse_flag<double>(v);
+       }},
       {"--wire-codec",
        [&](const char* v) {
          // Fail at parse time, not at the first worker handshake.
-         try {
-           (void)comm::make_compressor(v, cfg.comm.params);
-         } catch (const std::invalid_argument& e) {
-           std::fprintf(stderr, "--wire-codec: %s\n", e.what());
-           std::exit(2);
-         }
+         (void)comm::make_compressor(v, cfg.comm.params);
          cfg.net.wire_codec = v;
        }},
       {"--obs", [&](const char*) { cfg.obs.enabled = true; }},
@@ -245,7 +253,7 @@ int main(int argc, char** argv) {
       {"--metrics-interval",
        [&](const char* v) {
          cfg.obs.enabled = true;
-         cfg.obs.metrics_interval_s = std::max(0.0, std::atof(v));
+         cfg.obs.metrics_interval_s = std::max(0.0, fl::parse_flag<double>(v));
        }},
       {"--metrics-ndjson",
        [&](const char* v) {
@@ -307,7 +315,12 @@ int main(int argc, char** argv) {
       }
       value = argv[++i];
     }
-    it->second(value);
+    try {
+      it->second(value);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", it->first.c_str(), e.what());
+      return 2;
+    }
   }
 
   if (cfg.dataset == "emnist") cfg.model.classes = 47;
@@ -352,22 +365,36 @@ int main(int argc, char** argv) {
                  "--connect)\n");
     return 2;
   }
-  auto algorithm = algorithms::make_algorithm(method, params);
-  if (distributed && !algorithm->remote_trainable()) {
-    std::fprintf(stderr,
-                 "method %s is not remote-trainable (mutable algorithm "
-                 "state on the train path; see docs/TRANSPORT.md) — run "
-                 "it in-process\n",
-                 method.c_str());
+  // An unknown method, a config the engine rejects (--per-round 0, a
+  // dataset too small for the clients) or a --load-model checkpoint that
+  // does not load or fit the model ends the run like a bad flag.
+  std::optional<fl::Simulation> built;
+  std::vector<float> initial;
+  try {
+    auto algorithm = algorithms::make_algorithm(method, params);
+    if (distributed && !algorithm->remote_trainable()) {
+      std::fprintf(stderr,
+                   "method %s is not remote-trainable (mutable algorithm "
+                   "state on the train path; see docs/TRANSPORT.md) — run "
+                   "it in-process\n",
+                   method.c_str());
+      return 2;
+    }
+    if (real_data.has_value()) {
+      built.emplace(cfg, std::move(algorithm), std::move(*real_data));
+    } else {
+      built.emplace(cfg, std::move(algorithm));
+    }
+    if (!load_model.empty()) {
+      initial = fl::load_parameters_file(load_model);
+      built->set_initial_params(initial);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  auto sim = real_data.has_value()
-                 ? fl::Simulation(cfg, std::move(algorithm),
-                                  std::move(*real_data))
-                 : fl::Simulation(cfg, std::move(algorithm));
+  fl::Simulation& sim = *built;
   if (!load_model.empty()) {
-    auto initial = fl::load_parameters_file(load_model);
-    sim.set_initial_params(initial);
     std::printf("resumed from %s (%zu parameters, accuracy %.2f%%)\n",
                 load_model.c_str(), initial.size(),
                 100.0 * sim.evaluate(initial));

@@ -6,7 +6,6 @@
 
 #include "obs/tracer.h"
 #include "tensor/vec_math.h"
-#include "wire/payload.h"
 
 namespace fedtrip::comm {
 
@@ -17,6 +16,23 @@ const char* dir_name(Direction dir) {
 }
 
 }  // namespace
+
+Channel::Channel(CompressorPtr downlink, CompressorPtr uplink, bool ef_down,
+                 bool ef_up)
+    : down_(std::move(downlink)),
+      up_(std::move(uplink)),
+      ef_down_(ef_down),
+      ef_up_(ef_up) {
+  if (!down_ || !up_) {
+    throw std::invalid_argument("channel needs a compressor per direction");
+  }
+}
+
+std::string Channel::name() const {
+  const std::string d = (ef_down_ ? "ef+" : "") + down_->name();
+  const std::string u = (ef_up_ ? "ef+" : "") + up_->name();
+  return "down:" + d + "/up:" + u;
+}
 
 void Channel::account_raw(Direction dir, std::size_t floats) {
   if (floats == 0) return;
@@ -48,73 +64,29 @@ void Channel::record(Direction dir, std::size_t wire_bytes,
   }
 }
 
-CompressedChannel::CompressedChannel(CompressorPtr downlink,
-                                     CompressorPtr uplink, bool ef_down,
-                                     bool ef_up)
-    : down_(std::move(downlink)),
-      up_(std::move(uplink)),
-      ef_down_(ef_down),
-      ef_up_(ef_up) {
-  if (!down_ || !up_) {
-    throw std::invalid_argument("channel needs a compressor per direction");
-  }
-}
-
-std::string CompressedChannel::name() const {
-  const std::string d = (ef_down_ ? "ef+" : "") + down_->name();
-  const std::string u = (ef_up_ ? "ef+" : "") + up_->name();
-  return "down:" + d + "/up:" + u;
-}
-
-const Compressor& CompressedChannel::compressor(Direction dir) const {
-  return dir == Direction::kDown ? *down_ : *up_;
-}
-
-bool CompressedChannel::lossless(Direction dir) const {
-  return compressor(dir).lossless();
-}
-
-bool CompressedChannel::transparent(Direction dir) const {
-  // Byte-exact mode turns the zero-copy shortcut off: even lossless codecs
-  // round-trip through real buffers (the decode is still bit-identical).
-  return !byte_exact_ && lossless(dir);
-}
-
-std::vector<float> CompressedChannel::decode(const Compressor& codec,
-                                             const Encoded& e) const {
-  if (!byte_exact_) return codec.decompress(e);
-  std::vector<std::uint8_t> buf;
-  {
-    obs::ScopedTimer t(tracer_, "wire.serialize");
-    buf = wire::serialize(e);  // throws if size != wire_bytes
-  }
-  obs::ScopedTimer t(tracer_, "wire.deserialize");
-  return codec.decompress(wire::deserialize_payload(buf, e.codec));
-}
-
-const std::vector<float>& CompressedChannel::residual(
-    Direction dir, std::size_t stream) const {
+const std::vector<float>& Channel::residual(Direction dir,
+                                            std::size_t stream) const {
   static const std::vector<float> kEmpty;
   const auto& map = dir == Direction::kDown ? residual_down_ : residual_up_;
   auto it = map.find(stream);
   return it == map.end() ? kEmpty : it->second;
 }
 
-std::size_t CompressedChannel::residual_floats(Direction dir) const {
+std::size_t Channel::residual_floats(Direction dir) const {
   const auto& map = dir == Direction::kDown ? residual_down_ : residual_up_;
   std::size_t total = 0;
   for (const auto& entry : map) total += entry.second.size();
   return total;
 }
 
-Encoded CompressedChannel::encode(Direction dir, const std::vector<float>& x,
-                                  Rng& rng, std::size_t stream,
-                                  std::vector<float>* decoded) {
+std::size_t Channel::encode(Direction dir, const std::vector<float>& x,
+                            Rng& rng, std::size_t stream,
+                            std::vector<float>* decoded) {
   const Compressor& codec = compressor(dir);
   if (!error_feedback(dir) || codec.lossless()) {
     Encoded e = codec.compress(x, rng);
-    *decoded = decode(codec, e);
-    return e;
+    *decoded = codec.decompress(e);
+    return e.wire_bytes;
   }
   // Error feedback: transmit payload + carried residual, keep the part the
   // codec dropped for this stream's next message.
@@ -123,7 +95,7 @@ Encoded CompressedChannel::encode(Direction dir, const std::vector<float>& x,
   std::vector<float> carried(x.size());
   vec::add(x, r, carried);
   Encoded e = codec.compress(carried, rng);
-  *decoded = decode(codec, e);
+  *decoded = codec.decompress(e);
   vec::sub(carried, *decoded, r);
   if (tracer_ != nullptr) {
     // Accumulated L2 of the post-transmit residual: how much error the EF
@@ -133,16 +105,15 @@ Encoded CompressedChannel::encode(Direction dir, const std::vector<float>& x,
     tracer_->gauge_add(std::string("comm.ef_residual_l2.") + dir_name(dir),
                        std::sqrt(sq));
   }
-  return e;
+  return e.wire_bytes;
 }
 
-std::size_t CompressedChannel::transmit(Direction dir, std::vector<float>& x,
-                                        Rng& rng, std::size_t copies,
-                                        std::size_t stream) {
+std::size_t Channel::transmit(Direction dir, std::vector<float>& x, Rng& rng,
+                              std::size_t copies, std::size_t stream) {
   const Compressor& codec = compressor(dir);
   std::size_t bytes;
-  if (transparent(dir)) {
-    // Transparent path: accounting only, no encode/decode, no copy.
+  if (lossless(dir)) {
+    // Lossless path: accounting only, no encode/decode, no copy.
     bytes = codec.wire_bytes(x.size());
   } else {
     {
@@ -150,8 +121,7 @@ std::size_t CompressedChannel::transmit(Direction dir, std::vector<float>& x,
                          {{"in_bytes", static_cast<double>(4 * x.size())},
                           {"copies", static_cast<double>(copies)}});
       std::vector<float> decoded;
-      Encoded e = encode(dir, x, rng, stream, &decoded);
-      bytes = e.wire_bytes;
+      bytes = encode(dir, x, rng, stream, &decoded);
       x = std::move(decoded);
     }
     if (tracer_ != nullptr) {
@@ -166,24 +136,6 @@ std::size_t CompressedChannel::transmit(Direction dir, std::vector<float>& x,
   }
   record(dir, bytes, copies);
   return bytes;
-}
-
-Payload CompressedChannel::transmit_payload(Direction dir,
-                                            const std::vector<float>& x,
-                                            Rng& rng, std::size_t copies,
-                                            std::size_t stream) {
-  const Compressor& codec = compressor(dir);
-  Payload p;
-  p.codec = codec.name();
-  if (transparent(dir)) {
-    p.values = x;
-    p.wire_bytes = codec.wire_bytes(x.size());
-  } else {
-    Encoded e = encode(dir, x, rng, stream, &p.values);
-    p.wire_bytes = e.wire_bytes;
-  }
-  record(dir, p.wire_bytes, copies);
-  return p;
 }
 
 }  // namespace fedtrip::comm

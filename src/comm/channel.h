@@ -3,9 +3,16 @@
 // A channel encodes a float vector with the direction's compressor, accounts
 // the exact wire bytes (per delivered copy — a broadcast to K clients is one
 // encode, K deliveries), and hands the receiver the decoded floats. The
-// transparent (lossless) path never copies: the caller's vector is left
-// bit-identical and only the accounting runs, which is what makes the
-// default identity channel reproduce uncompressed runs exactly.
+// lossless path never copies: the caller's vector is left bit-identical and
+// only the accounting runs, which is what makes the default identity
+// channel reproduce uncompressed runs exactly.
+//
+// Each direction's compressor is optionally wrapped in error feedback
+// (EF-SGD / EF21 style): the codec's residual x - decode(encode(x)) is
+// accumulated per sender stream and added to that stream's next payload, so
+// every coordinate's error is eventually transmitted. EF changes no wire
+// bytes — only what the values carry — and is a no-op around lossless
+// codecs.
 #pragma once
 
 #include <cstdint>
@@ -40,54 +47,34 @@ struct ChannelStats {
   double total_mb() const { return mb_down() + mb_up(); }
 };
 
-/// One transmitted message as seen by the receiver.
-struct Payload {
-  /// Decoded floats delivered to the receiver (empty for raw side-channel
-  /// transfers, which are accounted but carry algorithm-owned data).
-  std::vector<float> values;
-  /// Exact wire bytes per delivered copy.
-  std::size_t wire_bytes = 0;
-  /// Codec that produced the encoding.
-  std::string codec;
-};
-
 class Channel {
  public:
-  virtual ~Channel() = default;
+  Channel(CompressorPtr downlink, CompressorPtr uplink, bool ef_down = false,
+          bool ef_up = false);
 
-  virtual std::string name() const = 0;
-
-  /// True when the decode in this direction is bit-identical to the input
-  /// (whether or not the transfer is materialised as byte buffers). Drives
-  /// semantic decisions like skipping the delta round-trip, which would
-  /// re-round floats for no fidelity gain.
-  virtual bool lossless(Direction dir) const = 0;
+  std::string name() const;
 
   /// True when `transmit` in this direction is a bit-identical no-op on the
-  /// payload (accounting still runs). Callers may skip defensive copies.
-  /// Implies lossless(dir); byte-exact mode is lossless but NOT transparent
-  /// (every transfer goes through real buffers).
-  virtual bool transparent(Direction dir) const = 0;
+  /// payload (accounting still runs). Callers may skip defensive copies,
+  /// and the uplink skips the delta round-trip, which would re-round floats
+  /// for no fidelity gain.
+  bool lossless(Direction dir) const { return compressor(dir).lossless(); }
 
   /// Data-independent wire bytes of one dim-float message in `dir` (every
   /// built-in codec's size is a pure function of dim) — what schedulers use
   /// to predict arrival times before any payload exists.
-  virtual std::size_t message_bytes(Direction dir, std::size_t dim) const = 0;
+  std::size_t message_bytes(Direction dir, std::size_t dim) const {
+    return compressor(dir).wire_bytes(dim);
+  }
 
   /// Sends `x` through the channel, replacing it in place with what the
-  /// receiver decodes (transparent directions leave it untouched). Records
+  /// receiver decodes (lossless directions leave it untouched). Records
   /// `copies` deliveries of the same encoding — broadcast fan-out — and
   /// returns the wire bytes of one copy. `rng` drives stochastic codecs.
   /// `stream` identifies the sender's logical stream (client id on the
   /// uplink): error-feedback state is accumulated per (direction, stream).
-  virtual std::size_t transmit(Direction dir, std::vector<float>& x,
-                               Rng& rng, std::size_t copies = 1,
-                               std::size_t stream = 0) = 0;
-
-  /// Full-payload variant for callers that need the encoding metadata.
-  virtual Payload transmit_payload(Direction dir, const std::vector<float>& x,
-                                   Rng& rng, std::size_t copies = 1,
-                                   std::size_t stream = 0) = 0;
+  std::size_t transmit(Direction dir, std::vector<float>& x, Rng& rng,
+                       std::size_t copies = 1, std::size_t stream = 0);
 
   /// Accounts `floats` uncompressed side-channel floats (algorithm extras
   /// the channel does not transform).
@@ -100,49 +87,6 @@ class Channel {
   /// the channel transmits or accounts.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
- protected:
-  void record(Direction dir, std::size_t wire_bytes, std::size_t copies);
-
-  ChannelStats stats_;
-  obs::Tracer* tracer_ = nullptr;
-};
-
-using ChannelPtr = std::unique_ptr<Channel>;
-
-/// The standard channel: an independent compressor per direction, each
-/// optionally wrapped in error feedback (EF-SGD / EF21 style): the codec's
-/// residual x - decode(encode(x)) is accumulated per sender stream and
-/// added to that stream's next payload, so every coordinate's error is
-/// eventually transmitted. EF changes no wire bytes — only what the values
-/// carry — and is a no-op around lossless codecs.
-class CompressedChannel : public Channel {
- public:
-  CompressedChannel(CompressorPtr downlink, CompressorPtr uplink,
-                    bool ef_down = false, bool ef_up = false);
-
-  /// Byte-exact mode: every transfer (identity included) is serialized to
-  /// real wire bytes and parsed back before decoding, so the simulated
-  /// path and a future socket transport share one code path. Bit-identical
-  /// to the in-process path by construction, and every message enforces
-  /// serialize(e).size() == e.wire_bytes (wire/payload.h throws on drift).
-  /// Disables the transparent zero-copy shortcut.
-  void set_byte_exact(bool on) { byte_exact_ = on; }
-  bool byte_exact() const { return byte_exact_; }
-
-  std::string name() const override;
-  bool lossless(Direction dir) const override;
-  bool transparent(Direction dir) const override;
-  std::size_t message_bytes(Direction dir, std::size_t dim) const override {
-    return compressor(dir).wire_bytes(dim);
-  }
-  std::size_t transmit(Direction dir, std::vector<float>& x, Rng& rng,
-                       std::size_t copies = 1,
-                       std::size_t stream = 0) override;
-  Payload transmit_payload(Direction dir, const std::vector<float>& x,
-                           Rng& rng, std::size_t copies = 1,
-                           std::size_t stream = 0) override;
-
-  const Compressor& compressor(Direction dir) const;
   bool error_feedback(Direction dir) const {
     return dir == Direction::kDown ? ef_down_ : ef_up_;
   }
@@ -160,22 +104,25 @@ class CompressedChannel : public Channel {
   std::size_t residual_floats(Direction dir) const;
 
  private:
+  const Compressor& compressor(Direction dir) const {
+    return dir == Direction::kDown ? *down_ : *up_;
+  }
+  void record(Direction dir, std::size_t wire_bytes, std::size_t copies);
   /// Encodes `x` (plus the stream's residual under EF), stores the new
-  /// residual, returns the decoded values and wire bytes.
-  Encoded encode(Direction dir, const std::vector<float>& x, Rng& rng,
-                 std::size_t stream, std::vector<float>* decoded);
-  /// What the receiver decodes from `e`: directly in-process, or — in
-  /// byte-exact mode — after a serialize/deserialize round trip through a
-  /// real buffer.
-  std::vector<float> decode(const Compressor& codec, const Encoded& e) const;
+  /// residual, returns the wire bytes and leaves the decode in *decoded.
+  std::size_t encode(Direction dir, const std::vector<float>& x, Rng& rng,
+                     std::size_t stream, std::vector<float>* decoded);
 
   CompressorPtr down_;
   CompressorPtr up_;
   bool ef_down_;
   bool ef_up_;
-  bool byte_exact_ = false;
   std::unordered_map<std::size_t, std::vector<float>> residual_down_;
   std::unordered_map<std::size_t, std::vector<float>> residual_up_;
+  ChannelStats stats_;
+  obs::Tracer* tracer_ = nullptr;
 };
+
+using ChannelPtr = std::unique_ptr<Channel>;
 
 }  // namespace fedtrip::comm

@@ -5,9 +5,8 @@
 // is the exact size the wire layout below occupies; `wire::serialize`
 // (src/wire/payload.h) materialises it and is required to produce exactly
 // that many bytes, so byte accounting is an enforced invariant rather than
-// an estimate. The in-process simulation still moves decoded floats by
-// default; `CommConfig::byte_exact` routes every transfer through the real
-// byte buffers instead (bit-identical by construction).
+// an estimate. The in-process simulation moves decoded floats; the socket
+// transport ships these bytes (net/wirecodec.h).
 //
 // Wire layout (see docs/WIRE_FORMAT.md). Identity is an unframed raw
 // float stream — exactly 4*dim bytes, matching the closed-form CommModel so

@@ -70,11 +70,6 @@ struct CommConfig {
   /// server adds the broadcast reference back after decoding. Sparsifiers
   /// keep much more signal this way late in training.
   bool delta_uplink = false;
-  /// Route every transfer through real serialized byte buffers
-  /// (wire/payload.h) instead of handing decoded floats across in-process.
-  /// Bit-identical results; enforces serialize(e).size() == e.wire_bytes on
-  /// every message. The mode a socket-backed transport will run in.
-  bool byte_exact = false;
   CommParams params;
   NetworkParams network;
 };

@@ -36,11 +36,9 @@ ChannelPtr make_channel(const CommConfig& config) {
   std::string up = config.uplink;
   const bool ef_down = strip_ef_prefix(down);
   const bool ef_up = strip_ef_prefix(up);
-  auto channel = std::make_unique<CompressedChannel>(
-      make_compressor(down, config.params),
-      make_compressor(up, config.params), ef_down, ef_up);
-  channel->set_byte_exact(config.byte_exact);
-  return channel;
+  return std::make_unique<Channel>(make_compressor(down, config.params),
+                                   make_compressor(up, config.params),
+                                   ef_down, ef_up);
 }
 
 }  // namespace fedtrip::comm

@@ -1,7 +1,5 @@
 #include "fl/checkpoint.h"
 
-#include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -9,31 +7,6 @@
 #include "wire/container.h"
 
 namespace fedtrip::fl {
-
-namespace {
-
-// Magic of the pre-wire checkpoint format (host-endian u64 count + raw
-// floats); still readable, never written.
-constexpr char kLegacyMagic[8] = {'F', 'E', 'D', 'T', 'R', 'I', 'P', '1'};
-
-std::vector<float> load_legacy(const std::vector<std::uint8_t>& buf,
-                               const std::string& path) {
-  const std::size_t header = sizeof(kLegacyMagic) + sizeof(std::uint64_t);
-  if (buf.size() < header) {
-    throw std::runtime_error("truncated checkpoint: " + path);
-  }
-  std::uint64_t n = 0;
-  std::memcpy(&n, buf.data() + sizeof(kLegacyMagic), sizeof(n));
-  if ((buf.size() - header) / sizeof(float) != n ||
-      (buf.size() - header) % sizeof(float) != 0) {
-    throw std::runtime_error("truncated checkpoint: " + path);
-  }
-  std::vector<float> params(static_cast<std::size_t>(n));
-  std::memcpy(params.data(), buf.data() + header, buf.size() - header);
-  return params;
-}
-
-}  // namespace
 
 void save_parameters(const std::string& path,
                      const std::vector<float>& params) {
@@ -44,10 +17,6 @@ void save_parameters(const std::string& path,
 
 std::vector<float> load_parameters_file(const std::string& path) {
   const auto buf = wire::read_file(path);
-  if (buf.size() >= sizeof(kLegacyMagic) &&
-      std::memcmp(buf.data(), kLegacyMagic, sizeof(kLegacyMagic)) == 0) {
-    return load_legacy(buf, path);
-  }
   try {
     for (const auto& rec : wire::read_container(buf.data(), buf.size())) {
       if (rec.type == wire::RecordType::kCheckpoint) {
@@ -100,32 +69,15 @@ std::vector<RoundRecord> load_history_csv(const std::string& path) {
     std::stringstream ss(line);
     RoundRecord r;
     char comma;
+    // Every row carries all 15 columns of the header.
     ss >> r.round >> comma >> r.test_accuracy >> comma >> r.train_loss >>
-        comma >> r.cum_gflops >> comma >> r.cum_comm_mb;
+        comma >> r.cum_gflops >> comma >> r.cum_comm_mb >> comma >>
+        r.cum_mb_down >> comma >> r.cum_mb_up >> comma >>
+        r.cum_comm_seconds >> comma >> r.mean_staleness >> comma >>
+        r.max_staleness >> comma >> r.dropped >> comma >> r.unavailable >>
+        comma >> r.deadline_deferred >> comma >> r.mean_compute_seconds >>
+        comma >> r.mean_comm_seconds;
     if (ss.fail()) throw std::runtime_error("bad CSV row: " + line);
-    // Comm columns were added with the src/comm/ subsystem, scheduler
-    // columns with src/sched/, and heterogeneity columns with
-    // src/clients/; shorter rows from any earlier era still load (missing
-    // fields default to 0), but a row truncated mid-write within a column
-    // group is corrupt, not legacy.
-    ss >> std::ws;
-    if (!ss.eof()) {
-      ss >> comma >> r.cum_mb_down >> comma >> r.cum_mb_up >> comma >>
-          r.cum_comm_seconds;
-      if (ss.fail()) throw std::runtime_error("bad CSV row: " + line);
-    }
-    ss >> std::ws;
-    if (!ss.eof()) {
-      ss >> comma >> r.mean_staleness >> comma >> r.max_staleness >> comma >>
-          r.dropped;
-      if (ss.fail()) throw std::runtime_error("bad CSV row: " + line);
-    }
-    ss >> std::ws;
-    if (!ss.eof()) {
-      ss >> comma >> r.unavailable >> comma >> r.deadline_deferred >>
-          comma >> r.mean_compute_seconds >> comma >> r.mean_comm_seconds;
-      if (ss.fail()) throw std::runtime_error("bad CSV row: " + line);
-    }
     history.push_back(r);
   }
   return history;

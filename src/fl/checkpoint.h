@@ -19,10 +19,8 @@ namespace fedtrip::fl {
 /// checkpoint record. Throws std::runtime_error on I/O failure.
 void save_parameters(const std::string& path, const std::vector<float>& params);
 
-/// Reads a parameter vector written by save_parameters. Also accepts the
-/// pre-wire legacy format (magic "FEDTRIP1") as a one-way read shim, so
-/// checkpoints from older builds keep loading. Throws std::runtime_error on
-/// I/O failure or format mismatch.
+/// Reads a parameter vector written by save_parameters. Throws
+/// std::runtime_error on I/O failure or format mismatch.
 std::vector<float> load_parameters_file(const std::string& path);
 
 /// Streaming CSV export of per-round histories: opens `path` and writes the
@@ -55,11 +53,13 @@ class HistoryCsvWriter {
 
 /// Writes a per-round history as CSV with a header row:
 /// round,test_accuracy,train_loss,cum_gflops,cum_comm_mb,cum_mb_down,
-/// cum_mb_up,cum_comm_seconds,mean_staleness,max_staleness,dropped
+/// cum_mb_up,cum_comm_seconds,mean_staleness,max_staleness,dropped,
+/// unavailable,deadline_deferred,mean_compute_s,mean_comm_s
 void save_history_csv(const std::string& path,
                       const std::vector<RoundRecord>& history);
 
-/// Parses a CSV produced by save_history_csv.
+/// Parses a CSV produced by save_history_csv. Every row must carry all 15
+/// columns; a shorter or malformed row throws std::runtime_error.
 std::vector<RoundRecord> load_history_csv(const std::string& path);
 
 }  // namespace fedtrip::fl

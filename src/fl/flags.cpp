@@ -1,8 +1,13 @@
 #include "fl/flags.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 
 namespace fedtrip::fl {
 
@@ -58,9 +63,6 @@ const std::vector<FlagSpec>& experiment_flags() {
       {"--mask-keep", "X", "randmask: fraction of coordinates kept"},
       {"--delta", nullptr,
        "compress the update delta w_k - w instead of w_k (uplink)"},
-      {"--byte-exact", nullptr,
-       "route every transfer through real serialized wire buffers "
-       "(bit-identical; validates the wire format end to end)"},
       {"--network", "P",
        "simulated network: none|uniform|heterogeneous|straggler"},
       {"--bandwidth", "X", "mean client bandwidth, Mbps"},
@@ -203,6 +205,34 @@ std::string experiment_usage() {
 
 std::string worker_usage() {
   return render_usage("fl_worker", worker_flags());
+}
+
+std::uint64_t parse_count(const char* text, std::uint64_t max) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  // from_chars takes no '+' or blanks; the digit check also rejects '-'.
+  const auto [ptr, ec] =
+      std::isdigit(static_cast<unsigned char>(*text))
+          ? std::from_chars(text, end, value)
+          : std::from_chars_result{text, std::errc::invalid_argument};
+  if (ec == std::errc() && ptr == end && value <= max) return value;
+  const std::string bound =
+      max < std::numeric_limits<std::uint64_t>::max()
+          ? " up to " + std::to_string(max)
+          : std::string();
+  throw std::invalid_argument("expected a whole number" + bound +
+                              ", got '" + text + "'");
+}
+
+double parse_number(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text)) ||
+      *end != '\0' || !std::isfinite(value)) {
+    throw std::invalid_argument(std::string("expected a number, got '") +
+                                text + "'");
+  }
+  return value;
 }
 
 }  // namespace fedtrip::fl

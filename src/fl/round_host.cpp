@@ -85,7 +85,7 @@ std::shared_ptr<const std::vector<float>> RoundHost::broadcast(
     std::size_t* wire_bytes) {
   Rng down_rng = comm_rng_.split(key);
   std::shared_ptr<const std::vector<float>> snapshot;
-  if (sim_.channel_->transparent(comm::Direction::kDown)) {
+  if (sim_.channel_->lossless(comm::Direction::kDown)) {
     *wire_bytes = sim_.channel_->transmit(
         comm::Direction::kDown, sim_.global_params_, down_rng, copies);
     if (alias_ok) {
@@ -136,9 +136,7 @@ std::size_t RoundHost::uplink(ClientUpdate& update, std::uint64_t key,
   std::size_t bytes;
   if (sim_.channel_->lossless(comm::Direction::kUp)) {
     // Lossless: the decode is bit-exact whether or not a delta was
-    // framed, so skip the delta round-trip (x - ref + ref re-rounds) —
-    // keyed on losslessness, not transparency, so byte-exact mode stays
-    // bit-identical to this path while still moving real buffers.
+    // framed, so skip the delta round-trip (x - ref + ref re-rounds).
     bytes = sim_.channel_->transmit(comm::Direction::kUp, update.params,
                                     up_rng, 1, update.client_id);
     if (keep_history) {

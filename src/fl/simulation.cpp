@@ -425,7 +425,7 @@ RunResult Simulation::run_reference() {
     const std::vector<float>* round_params = &global_params_;
     std::vector<float> bcast;
     std::size_t down_wire = 0;
-    if (channel_->transparent(comm::Direction::kDown)) {
+    if (channel_->lossless(comm::Direction::kDown)) {
       down_wire = channel_->transmit(comm::Direction::kDown, global_params_,
                                      down_rng, selected.size());
     } else {
@@ -450,7 +450,7 @@ RunResult Simulation::run_reference() {
     // Uplink: each client's update goes through the channel; the server
     // aggregates what it decodes. Clients keep their own uncompressed local
     // model, so the history store snapshots params before transmission.
-    const bool lossy_up = !channel_->transparent(comm::Direction::kUp);
+    const bool lossy_up = !channel_->lossless(comm::Direction::kUp);
     std::vector<std::vector<float>> local_models;
     if (lossy_up) local_models.resize(updates.size());
     std::vector<std::size_t> up_bytes(updates.size(), 0);

@@ -25,7 +25,6 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/algorithm.h"
-#include "fl/comm.h"
 #include "fl/config.h"
 #include "fl/history.h"
 #include "fl/types.h"

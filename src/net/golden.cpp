@@ -151,9 +151,9 @@ wire::golden::Fixture session_fixture() {
                      setup.config.seed);
   std::vector<wire::Record> records;
   records.push_back({wire::RecordType::kNetHello, 0,
-                     serialize_hello(HelloMsg{7, 7})});
+                     serialize_hello(HelloMsg{8, 8})});
   records.push_back({wire::RecordType::kNetHello, 0,
-                     serialize_hello(HelloMsg{7, 7})});
+                     serialize_hello(HelloMsg{8, 8})});
   records.push_back(
       {wire::RecordType::kNetSetup, 0, serialize_setup(setup)});
   records.push_back({wire::RecordType::kNetSetupAck, 0,

@@ -234,7 +234,6 @@ void write_comm(WireWriter& w, const comm::CommConfig& c) {
   write_string(w, c.uplink);
   write_string(w, c.downlink);
   write_bool(w, c.delta_uplink);
-  write_bool(w, c.byte_exact);
   w.f32(c.params.topk_fraction);
   w.u32(static_cast<std::uint32_t>(c.params.qsgd_bits));
   w.f32(c.params.mask_keep);
@@ -252,7 +251,6 @@ comm::CommConfig read_comm(WireReader& r) {
   c.uplink = read_string(r);
   c.downlink = read_string(r);
   c.delta_uplink = read_bool(r);
-  c.byte_exact = read_bool(r);
   c.params.topk_fraction = r.f32();
   c.params.qsgd_bits = static_cast<int>(r.u32());
   c.params.mask_keep = r.f32();
@@ -274,7 +272,6 @@ void write_sched(WireWriter& w, const sched::SchedConfig& s) {
   w.u64(s.buffer_size);
   w.f64(s.staleness_alpha);
   w.f64(s.deadline_s);
-  write_bool(w, s.deadline_skip_doomed);
 }
 
 sched::SchedConfig read_sched(WireReader& r) {
@@ -284,7 +281,6 @@ sched::SchedConfig read_sched(WireReader& r) {
   s.buffer_size = static_cast<std::size_t>(r.u64());
   s.staleness_alpha = r.f64();
   s.deadline_s = r.f64();
-  s.deadline_skip_doomed = read_bool(r);
   return s;
 }
 

@@ -55,10 +55,12 @@ namespace fedtrip::net {
 /// to the kNetStats StatsReport payload (obs/stats.h) so worker latency
 /// distributions ride the existing stats machinery, mid-run and at
 /// shutdown; v7 dropped the chunk size from the Setup client-data block;
-/// coordinator and workers deploy in lockstep (one binary, one repo), so
-/// the minimum moves with the maximum rather than carrying older shims.
-inline constexpr std::uint16_t kProtocolVersionMin = 7;
-inline constexpr std::uint16_t kProtocolVersion = 7;
+/// v8 dropped the comm block's byte-exact flag and the sched block's
+/// deadline doomed-skip flag from Setup; coordinator and workers deploy in
+/// lockstep (one binary, one repo), so the minimum moves with the maximum
+/// rather than carrying older shims.
+inline constexpr std::uint16_t kProtocolVersionMin = 8;
+inline constexpr std::uint16_t kProtocolVersion = 8;
 
 // ------------------------------------------------------------- handshake
 

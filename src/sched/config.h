@@ -35,15 +35,6 @@ struct SchedConfig {
   /// rounds as staleness-discounted arrivals. 0 = auto: 1.5x the median
   /// predicted per-client round-trip + compute time.
   double deadline_s = 0.0;
-  /// deadline: availability-aware dispatch. Both the client's remaining
-  /// on-window (AvailabilityModel::online_until) and its round-trip +
-  /// compute time are known exactly at dispatch, so a dispatch that
-  /// cannot arrive before the client churns off is doomed from the start;
-  /// skipping it (counted under RoundMeta::unavailable, like the
-  /// selected-but-offline case) saves the broadcast bytes and frees the
-  /// slot for a client that can actually deliver. false restores the
-  /// blind top-up (the regression baseline).
-  bool deadline_skip_doomed = true;
 };
 
 }  // namespace fedtrip::sched

@@ -347,7 +347,14 @@ float staleness_weight(double alpha, std::size_t staleness) {
 
 class FlightDeck {
  public:
-  explicit FlightDeck(Host& host)
+  /// `skip_doomed` turns on availability-aware dispatch (the deadline
+  /// policy): clients whose remaining on-window cannot fit their predicted
+  /// round-trip + compute time are skipped instead of dispatched to work
+  /// that is doomed to be dropped. Both inputs are exact at dispatch time,
+  /// so the skip catches precisely the flights that would otherwise be
+  /// lost to churn — and it runs before the broadcast, so no downlink bytes
+  /// are spent on them.
+  FlightDeck(Host& host, bool skip_doomed)
       : host_(host),
         avail_(host.availability()),
         // Uplink transit bytes per arrival: codec wire bytes plus the
@@ -361,15 +368,8 @@ class FlightDeck {
         // a pure function of dim), known before any broadcast runs.
         down_bytes_pred_(host.message_bytes(comm::Direction::kDown) +
                          host.extra_down_bytes()),
+        skip_doomed_(skip_doomed),
         busy_(host.num_clients(), false) {}
-
-  /// Availability-aware dispatch (the deadline policy): skip clients whose
-  /// remaining on-window cannot fit their predicted round-trip + compute
-  /// time instead of dispatching work that is doomed to be dropped. Both
-  /// inputs are exact at dispatch time, so the skip catches precisely the
-  /// flights that would otherwise be lost to churn — and it runs before
-  /// the broadcast, so no downlink bytes are spent on them.
-  void set_skip_doomed(bool on) { skip_doomed_ = on; }
 
   /// Lower bound on the virtual seconds from any dispatch to its arrival:
   /// the minimum over all clients of the arrival-time arithmetic in
@@ -532,7 +532,7 @@ class FlightDeck {
   const clients::AvailabilityModel& avail_;
   std::size_t up_bytes_;
   std::size_t down_bytes_pred_;
-  bool skip_doomed_ = false;
+  bool skip_doomed_;
   std::vector<Flight> flights_;
   std::vector<bool> busy_;
   std::size_t in_flight_ = 0;
@@ -550,7 +550,7 @@ void AsyncScheduler::run(Host& host) {
       config_.buffer_size > 0 ? config_.buffer_size : concurrency;
   const double alpha = config_.staleness_alpha;
 
-  FlightDeck deck(host);
+  FlightDeck deck(host, /*skip_doomed=*/false);
   std::size_t version = 0;  // server rounds completed
   double clock = 0.0;
   std::size_t unavailable = 0;  // offline skips/drops since last aggregation
@@ -731,8 +731,7 @@ void DeadlineScheduler::run(Host& host) {
   const double alpha = config_.staleness_alpha;
   const double deadline = deadline_for(config_, host);
 
-  FlightDeck deck(host);
-  deck.set_skip_doomed(config_.deadline_skip_doomed);
+  FlightDeck deck(host, /*skip_doomed=*/true);
   double clock = 0.0;
   std::size_t unavailable = 0;  // per-round offline skips/drops
 
@@ -747,9 +746,9 @@ void DeadlineScheduler::run(Host& host) {
     }
   };
 
-  // Top up, and when every idle client is offline (or online but doomed,
-  // under skip_doomed) wait for the earliest availability change so at
-  // least one dispatch is always in flight.
+  // Top up, and when every idle client is offline or online but doomed,
+  // wait for the earliest availability change so at least one dispatch is
+  // always in flight.
   auto ensure_in_flight = [&](std::size_t round) {
     dispatch_fill(round, clock);
     std::size_t guard = 0;
@@ -758,9 +757,7 @@ void DeadlineScheduler::run(Host& host) {
         throw std::runtime_error("deadline: client dispatch starved");
       }
       const double t =
-          config_.deadline_skip_doomed
-              ? earliest_availability_change(host, &deck.busy(), clock)
-              : earliest_comeback(host, &deck.busy(), clock);
+          earliest_availability_change(host, &deck.busy(), clock);
       if (!std::isfinite(t)) {
         throw std::runtime_error(
             "deadline: no client ever comes back online");

@@ -1,5 +1,5 @@
 // Channel per-direction byte accounting: exact to the byte, broadcast
-// fan-out, raw side-channel extras, transparent no-op paths.
+// fan-out, raw side-channel extras, lossless no-op paths.
 #include "comm/channel.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@ ChannelPtr identity_channel() {
   return make_channel(CommConfig{});
 }
 
-TEST(ChannelTest, IdentityIsTransparentAndBitExact) {
+TEST(ChannelTest, IdentityIsLosslessAndBitExact) {
   auto ch = identity_channel();
   Rng rng(1);
   auto x = random_vector(100, 3);
@@ -29,8 +29,8 @@ TEST(ChannelTest, IdentityIsTransparentAndBitExact) {
   ch->transmit(Direction::kDown, x, rng);
   ch->transmit(Direction::kUp, x, rng);
   EXPECT_EQ(x, original);
-  EXPECT_TRUE(ch->transparent(Direction::kDown));
-  EXPECT_TRUE(ch->transparent(Direction::kUp));
+  EXPECT_TRUE(ch->lossless(Direction::kDown));
+  EXPECT_TRUE(ch->lossless(Direction::kUp));
 }
 
 TEST(ChannelTest, PerDirectionAccountingExact) {
@@ -85,24 +85,9 @@ TEST(ChannelTest, LossyUplinkTransformsInPlace) {
   EXPECT_EQ(nonzero, 20u);
   EXPECT_EQ(bytes, 8u + 4u + 20u * 8u);
   EXPECT_EQ(ch->stats().bytes_up, bytes);
-  // Downlink stays transparent and uncounted so far.
-  EXPECT_TRUE(ch->transparent(Direction::kDown));
+  // Downlink stays lossless and uncounted so far.
+  EXPECT_TRUE(ch->lossless(Direction::kDown));
   EXPECT_EQ(ch->stats().bytes_down, 0u);
-}
-
-TEST(ChannelTest, TransmitPayloadMatchesTransmit) {
-  CommConfig cfg;
-  cfg.uplink = "qsgd8";
-  auto ch = make_channel(cfg);
-  Rng r1(17), r2(17);
-  const auto x = random_vector(100, 19);
-  auto x_inplace = x;
-  const std::size_t bytes = ch->transmit(Direction::kUp, x_inplace, r1);
-  const Payload p = ch->transmit_payload(Direction::kUp, x, r2);
-  EXPECT_EQ(p.wire_bytes, bytes);
-  EXPECT_EQ(p.values, x_inplace);  // same rng stream -> same encoding
-  EXPECT_EQ(p.codec, "qsgd8");
-  EXPECT_EQ(ch->stats().messages_up, 2u);
 }
 
 }  // namespace

@@ -19,10 +19,6 @@ std::vector<float> random_vector(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
-CompressedChannel& as_compressed(Channel& ch) {
-  return dynamic_cast<CompressedChannel&>(ch);
-}
-
 ChannelPtr ef_topk_channel(float fraction = 0.1f) {
   CommConfig cfg;
   cfg.uplink = "ef+topk";
@@ -42,8 +38,8 @@ TEST(EfRegistryTest, StripsPrefix) {
 TEST(EfRegistryTest, ChannelNameCarriesPrefix) {
   auto ch = ef_topk_channel();
   EXPECT_EQ(ch->name(), "down:identity/up:ef+topk-0.1");
-  EXPECT_TRUE(as_compressed(*ch).error_feedback(Direction::kUp));
-  EXPECT_FALSE(as_compressed(*ch).error_feedback(Direction::kDown));
+  EXPECT_TRUE(ch->error_feedback(Direction::kUp));
+  EXPECT_FALSE(ch->error_feedback(Direction::kDown));
 }
 
 TEST(EfChannelTest, ResidualIsWhatTheCodecDropped) {
@@ -52,7 +48,7 @@ TEST(EfChannelTest, ResidualIsWhatTheCodecDropped) {
   auto x = random_vector(100, 5);
   const auto sent = x;
   ch->transmit(Direction::kUp, x, rng, 1, /*stream=*/7);
-  const auto& r = as_compressed(*ch).residual(Direction::kUp, 7);
+  const auto& r = ch->residual(Direction::kUp, 7);
   ASSERT_EQ(r.size(), sent.size());
   for (std::size_t i = 0; i < sent.size(); ++i) {
     EXPECT_FLOAT_EQ(r[i] + x[i], sent[i]);  // decoded + residual = input
@@ -73,7 +69,7 @@ TEST(EfChannelTest, ResidualCarriesIntoNextMessage) {
     ch->transmit(Direction::kUp, x, rng, 1, /*stream=*/0);
     for (std::size_t i = 0; i < x.size(); ++i) decoded_sum[i] += x[i];
   }
-  const auto& r = as_compressed(*ch).residual(Direction::kUp, 0);
+  const auto& r = ch->residual(Direction::kUp, 0);
   for (std::size_t i = 0; i < input.size(); ++i) {
     EXPECT_NEAR(decoded_sum[i] + r[i], 2.0f * input[i], 1e-5f);
   }
@@ -85,13 +81,13 @@ TEST(EfChannelTest, StreamsKeepIndependentResiduals) {
   auto a = random_vector(60, 19);
   auto b = random_vector(60, 23);
   ch->transmit(Direction::kUp, a, rng, 1, /*stream=*/1);
-  const auto r1_snapshot = as_compressed(*ch).residual(Direction::kUp, 1);
+  const auto r1_snapshot = ch->residual(Direction::kUp, 1);
   ch->transmit(Direction::kUp, b, rng, 1, /*stream=*/2);
   // Stream 2's transmit must not disturb stream 1's residual.
-  EXPECT_EQ(as_compressed(*ch).residual(Direction::kUp, 1), r1_snapshot);
-  EXPECT_FALSE(as_compressed(*ch).residual(Direction::kUp, 2).empty());
+  EXPECT_EQ(ch->residual(Direction::kUp, 1), r1_snapshot);
+  EXPECT_FALSE(ch->residual(Direction::kUp, 2).empty());
   // An untouched stream has no state.
-  EXPECT_TRUE(as_compressed(*ch).residual(Direction::kUp, 3).empty());
+  EXPECT_TRUE(ch->residual(Direction::kUp, 3).empty());
 }
 
 TEST(EfChannelTest, NoOpAroundLosslessCodec) {
@@ -102,9 +98,9 @@ TEST(EfChannelTest, NoOpAroundLosslessCodec) {
   auto x = random_vector(50, 31);
   const auto original = x;
   ch->transmit(Direction::kUp, x, rng, 1, /*stream=*/4);
-  EXPECT_EQ(x, original);  // still transparent
-  EXPECT_TRUE(ch->transparent(Direction::kUp));
-  EXPECT_TRUE(as_compressed(*ch).residual(Direction::kUp, 4).empty());
+  EXPECT_EQ(x, original);  // still lossless
+  EXPECT_TRUE(ch->lossless(Direction::kUp));
+  EXPECT_TRUE(ch->residual(Direction::kUp, 4).empty());
 }
 
 TEST(EfChannelTest, WireBytesUnchangedByEf) {

@@ -51,8 +51,8 @@ TEST(CommRegistryTest, MakeChannelUsesPerDirectionNames) {
   cfg.downlink = "identity";
   cfg.uplink = "qsgd8";
   auto ch = make_channel(cfg);
-  EXPECT_TRUE(ch->transparent(Direction::kDown));
-  EXPECT_FALSE(ch->transparent(Direction::kUp));
+  EXPECT_TRUE(ch->lossless(Direction::kDown));
+  EXPECT_FALSE(ch->lossless(Direction::kUp));
   EXPECT_EQ(ch->name(), "down:identity/up:qsgd8");
 }
 

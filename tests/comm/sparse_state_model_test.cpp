@@ -1,8 +1,8 @@
 // Model-based randomized test of the channel's sparse per-stream state:
-// the CompressedChannel keeps EF residuals in a map keyed by sender
-// stream (materialized on first lossy transmit — the O(active) memory
-// contract), and this suite drives it in lockstep against a dense
-// reference implementation that allocates every stream's residual up
+// the Channel keeps EF residuals in a map keyed by sender stream
+// (materialized on first lossy transmit — the O(active) memory contract),
+// and this suite drives it in lockstep against a dense reference
+// implementation that allocates every stream's residual up
 // front — the textbook EF-SGD formulation. After EVERY op the decoded
 // values, the wire bytes and the full residual state must match exactly,
 // with and without delta framing, across random op interleavings over
@@ -103,7 +103,7 @@ Scenario random_scenario(Rng& meta) {
 /// nullopt on success, or a description of the first divergence.
 std::optional<std::string> replay(const Scenario& s,
                                   const std::vector<Op>& ops) {
-  comm::CompressedChannel channel(
+  comm::Channel channel(
       comm::make_compressor("identity", s.params),
       comm::make_compressor(s.codec, s.params),
       /*ef_down=*/false, /*ef_up=*/true);
@@ -208,9 +208,9 @@ TEST(SparseStateModelTest, LosslessCodecNeverMaterializesResiduals) {
   // EF wraps lossless codecs as a no-op; the sparse map must stay empty
   // no matter how many streams transmit.
   comm::CommParams params;
-  comm::CompressedChannel channel(comm::make_compressor("identity", params),
-                                  comm::make_compressor("identity", params),
-                                  /*ef_down=*/true, /*ef_up=*/true);
+  comm::Channel channel(comm::make_compressor("identity", params),
+                        comm::make_compressor("identity", params),
+                        /*ef_down=*/true, /*ef_up=*/true);
   Rng rng(7);
   for (std::size_t stream = 0; stream < 64; ++stream) {
     std::vector<float> x(16, 1.0f);
@@ -228,9 +228,9 @@ TEST(SparseStateModelTest, ResidualFootprintTracksParticipantsOnly) {
   // the ids are.
   comm::CommParams params;
   params.topk_fraction = 0.25f;
-  comm::CompressedChannel channel(comm::make_compressor("identity", params),
-                                  comm::make_compressor("topk", params),
-                                  /*ef_down=*/false, /*ef_up=*/true);
+  comm::Channel channel(comm::make_compressor("identity", params),
+                        comm::make_compressor("topk", params),
+                        /*ef_down=*/false, /*ef_up=*/true);
   Rng rng(11);
   constexpr std::size_t kDim = 32;
   const std::size_t ids[] = {3, 999999, 123456789, 1000000000};

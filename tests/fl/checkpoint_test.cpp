@@ -57,10 +57,11 @@ TEST_F(CheckpointTest, WritesWireContainerFormat) {
   std::remove(path.c_str());
 }
 
-TEST_F(CheckpointTest, LegacyFormatStillLoads) {
-  // The pre-wire format (magic FEDTRIP1, host-endian u64 count, raw
-  // floats) is a read shim: old checkpoints load, new saves don't emit it.
-  const std::string path = temp("legacy_ckpt.bin");
+TEST_F(CheckpointTest, PreWireFormatIsRejected) {
+  // FTWIRE is the only checkpoint format: a file in the pre-wire layout
+  // (magic FEDTRIP1, host-endian u64 count, raw floats) is a bad
+  // checkpoint like any other non-FTWIRE file.
+  const std::string path = temp("fedtrip1_ckpt.bin");
   const std::vector<float> params{0.5f, -1.5f, 2.0f};
   {
     std::ofstream out(path, std::ios::binary);
@@ -71,20 +72,14 @@ TEST_F(CheckpointTest, LegacyFormatStillLoads) {
     out.write(reinterpret_cast<const char*>(params.data()),
               static_cast<std::streamsize>(params.size() * sizeof(float)));
   }
-  EXPECT_EQ(load_parameters_file(path), params);
-  std::remove(path.c_str());
-}
-
-TEST_F(CheckpointTest, LegacyTruncatedThrows) {
-  const std::string path = temp("legacy_trunc.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const char magic[8] = {'F', 'E', 'D', 'T', 'R', 'I', 'P', '1'};
-    out.write(magic, sizeof(magic));
-    const std::uint64_t n = 100;  // claims 100 floats, carries none
-    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  try {
+    load_parameters_file(path);
+    ADD_FAILURE() << "a FEDTRIP1 file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad checkpoint " + path),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_THROW(load_parameters_file(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -202,90 +197,32 @@ TEST_F(CheckpointTest, CsvHeaderIsStable) {
   std::remove(path.c_str());
 }
 
-TEST_F(CheckpointTest, LoadsPreCommFiveColumnCsv) {
-  // CSVs written before the comm columns existed still load; the missing
-  // fields default to zero.
-  const std::string path = temp("legacy.csv");
-  std::ofstream(path)
-      << "round,test_accuracy,train_loss,cum_gflops,cum_comm_mb\n"
-      << "3,0.5,1.25,2.5,4.5\n";
-  auto loaded = load_history_csv(path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].round, 3u);
-  EXPECT_NEAR(loaded[0].cum_comm_mb, 4.5, 1e-12);
-  EXPECT_EQ(loaded[0].cum_mb_down, 0.0);
-  EXPECT_EQ(loaded[0].cum_mb_up, 0.0);
-  EXPECT_EQ(loaded[0].cum_comm_seconds, 0.0);
-  std::remove(path.c_str());
-}
-
-TEST_F(CheckpointTest, LoadsPreSchedEightColumnCsv) {
-  // CSVs written before the scheduler columns existed still load; the
-  // staleness fields default to zero.
-  const std::string path = temp("presched.csv");
-  std::ofstream(path)
-      << "round,test_accuracy,train_loss,cum_gflops,cum_comm_mb,"
-         "cum_mb_down,cum_mb_up,cum_comm_seconds\n"
-      << "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75\n";
-  auto loaded = load_history_csv(path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_NEAR(loaded[0].cum_comm_seconds, 0.75, 1e-12);
-  EXPECT_EQ(loaded[0].mean_staleness, 0.0);
-  EXPECT_EQ(loaded[0].max_staleness, 0u);
-  EXPECT_EQ(loaded[0].dropped, 0u);
-  std::remove(path.c_str());
-}
-
-TEST_F(CheckpointTest, LoadsPreClientsElevenColumnCsv) {
-  // CSVs written before the client-heterogeneity columns existed still
-  // load; the availability/deadline/time-split fields default to zero.
-  const std::string path = temp("preclients.csv");
-  std::ofstream(path)
-      << "round,test_accuracy,train_loss,cum_gflops,cum_comm_mb,"
-         "cum_mb_down,cum_mb_up,cum_comm_seconds,mean_staleness,"
-         "max_staleness,dropped\n"
-      << "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4\n";
-  auto loaded = load_history_csv(path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].dropped, 4u);
-  EXPECT_EQ(loaded[0].unavailable, 0u);
-  EXPECT_EQ(loaded[0].deadline_deferred, 0u);
-  EXPECT_EQ(loaded[0].mean_compute_seconds, 0.0);
-  EXPECT_EQ(loaded[0].mean_comm_seconds, 0.0);
-  std::remove(path.c_str());
-}
-
-TEST_F(CheckpointTest, TruncatedClientsColumnsThrow) {
-  const std::string path = temp("truncclients.csv");
-  std::ofstream(path)
-      << "round,test_accuracy,train_loss,cum_gflops,cum_comm_mb,"
-         "cum_mb_down,cum_mb_up,cum_comm_seconds,mean_staleness,"
-         "max_staleness,dropped,unavailable,deadline_deferred,"
-         "mean_compute_s,mean_comm_s\n"
-      << "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2\n";
-  EXPECT_THROW(load_history_csv(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST_F(CheckpointTest, TruncatedSchedColumnsThrow) {
-  const std::string path = temp("truncsched.csv");
-  std::ofstream(path)
-      << "round,test_accuracy,train_loss,cum_gflops,cum_comm_mb,"
-         "cum_mb_down,cum_mb_up,cum_comm_seconds,mean_staleness,"
-         "max_staleness,dropped\n"
-      << "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2\n";
-  EXPECT_THROW(load_history_csv(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST_F(CheckpointTest, TruncatedCommColumnsThrow) {
-  // A new-format row cut off mid-write is corrupt, not legacy.
-  const std::string path = temp("truncated.csv");
-  std::ofstream(path)
-      << "round,test_accuracy,train_loss,cum_gflops,cum_comm_mb,"
-         "cum_mb_down,cum_mb_up,cum_comm_seconds\n"
-      << "3,0.5,1.25,2.5,4.5,2.0\n";
-  EXPECT_THROW(load_history_csv(path), std::runtime_error);
+TEST_F(CheckpointTest, EveryRowNeedsAllFifteenColumns) {
+  // Rows of the 5-, 8- and 11-column layouts (before the comm, scheduler
+  // and client columns) and rows cut off inside a column group are all
+  // rejected: no field defaults to zero.
+  const char* kHeader =
+      "round,test_accuracy,train_loss,cum_gflops,cum_comm_mb,"
+      "cum_mb_down,cum_mb_up,cum_comm_seconds,mean_staleness,"
+      "max_staleness,dropped,unavailable,deadline_deferred,"
+      "mean_compute_s,mean_comm_s\n";
+  const char* kShortRows[] = {
+      "3,0.5,1.25,2.5,4.5",                            // 5 columns
+      "3,0.5,1.25,2.5,4.5,2.0",                        // 6
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75",               // 8
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2",         // 10
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4",       // 11
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2",   // 13
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3"  // 14
+  };
+  const std::string path = temp("short_rows.csv");
+  for (const char* row : kShortRows) {
+    std::ofstream(path) << kHeader << row << "\n";
+    EXPECT_THROW(load_history_csv(path), std::runtime_error) << row;
+  }
+  std::ofstream(path) << kHeader
+                      << "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4\n";
+  ASSERT_EQ(load_history_csv(path).size(), 1u);
   std::remove(path.c_str());
 }
 

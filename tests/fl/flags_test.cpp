@@ -1,10 +1,13 @@
 // The run_experiment flag registry: the generated --help text must mention
 // every registered flag (this is the drift guard that was missing when the
 // PR-2 scheduler flags landed in the parser but the usage text went stale),
-// and the registry must cover every subsystem's knobs.
+// and the registry must cover every subsystem's knobs. Flag values parse
+// strictly: the whole string or an error, never a silent 0.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "fl/flags.h"
@@ -54,8 +57,8 @@ TEST(FlagsTest, CoversEverySubsystemsFlags) {
         "--avail-on", "--avail-off", "--deadline"}) {
     EXPECT_TRUE(names.count(flag)) << flag;
   }
-  // The wire subsystem flags (PR 4).
-  for (const char* flag : {"--byte-exact", "--load-model", "--save-model"}) {
+  // The checkpoint flags.
+  for (const char* flag : {"--load-model", "--save-model"}) {
     EXPECT_TRUE(names.count(flag)) << flag;
   }
   // The elastic coordinator flags (PR 7).
@@ -97,6 +100,35 @@ TEST(FlagsTest, ValuePlaceholdersRenderInUsage) {
   EXPECT_NE(usage.find("--deadline T"), std::string::npos);
   // The deadline policy must be discoverable from --help.
   EXPECT_NE(usage.find("sync|fastk|async|deadline"), std::string::npos);
+}
+
+TEST(FlagsTest, CountsParseStrictly) {
+  // A count is all digits: anything else is an error, never a silent 0, a
+  // parsed prefix or a wrapped negative.
+  for (const char* bad : {"abc", "12x", "-1", "", "+3", " 7", "1.5"}) {
+    EXPECT_THROW(parse_flag<std::size_t>(bad), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_flag<std::size_t>("30"), 30u);
+  EXPECT_EQ(parse_flag<std::size_t>("0"), 0u);
+  EXPECT_EQ(parse_flag<int>("8"), 8);
+  // A count must fit its type: a port is at most 65535.
+  EXPECT_EQ(parse_flag<std::uint16_t>("65535"), 65535u);
+  EXPECT_THROW(parse_flag<std::uint16_t>("65536"), std::invalid_argument);
+  EXPECT_THROW(parse_flag<std::uint64_t>("18446744073709551616"),
+               std::invalid_argument);
+}
+
+TEST(FlagsTest, NumbersParseStrictly) {
+  EXPECT_EQ(parse_flag<double>("0.5"), 0.5);
+  EXPECT_EQ(parse_flag<double>("-2"), -2.0);
+  EXPECT_EQ(parse_flag<double>("1e-3"), 1e-3);
+  // Floats round through double, exactly as static_cast<float>(atof(s)).
+  EXPECT_EQ(parse_flag<float>("0.01"), static_cast<float>(0.01));
+  for (const char* bad : {"abc", "0.5x", "", " 1", "nan", "inf", "1e400"}) {
+    EXPECT_THROW(parse_flag<double>(bad), std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 }  // namespace

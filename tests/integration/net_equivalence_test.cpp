@@ -152,15 +152,6 @@ TEST(NetEquivalenceTest, DeadlineBitIdentical) {
   expect_bit_identical(cfg, "deadline");
 }
 
-TEST(NetEquivalenceTest, ByteExactModeComposesWithTheSocketHost) {
-  // The byte-exact channel (PR 4) and the socket host are the two halves
-  // of "everything crosses real buffers" — they must compose.
-  fl::ExperimentConfig cfg = loaded_config();
-  cfg.sched.policy = "async";
-  cfg.comm.byte_exact = true;
-  expect_bit_identical(cfg, "async/byte-exact");
-}
-
 TEST(NetEquivalenceTest, WireCodecStaysBitIdentical) {
   // The Setup-negotiated wire codec compresses socket traffic with a
   // verify-and-fallback envelope — by construction it may shrink frames

@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "algorithms/registry.h"
@@ -185,6 +186,39 @@ TracedRun run_distributed(fl::ExperimentConfig cfg, std::size_t num_workers,
   return out;
 }
 
+/// How a run is instrumented: untraced, traced, or traced with the live
+/// stack (streamer + flight recorder) attached. kTracedRepeat is a second,
+/// independent execution of kTraced — the run the repeat-determinism
+/// assertions compare it against.
+enum class Mode { kPlain, kTraced, kTracedRepeat, kStreamed };
+
+/// The tests below look at the same few dozen runs from different angles,
+/// so each distinct (policy, engine, mode) runs once per binary, on first
+/// use. `workers` 0 is the in-process engine, N > 0 a pool of N socket
+/// workers.
+const TracedRun& cached_run(const std::string& policy, std::size_t workers,
+                            Mode mode) {
+  static std::map<std::tuple<std::string, std::size_t, Mode>, TracedRun>
+      cache;
+  const auto key = std::make_tuple(policy, workers, mode);
+  if (auto it = cache.find(key); it != cache.end()) return it->second;
+  const auto cfg = loaded_config(policy);
+  const bool traced = mode != Mode::kPlain;
+  TracedRun run;
+  if (mode == Mode::kStreamed) {
+    const std::string ndjson = ::testing::TempDir() + "/obs_eq_stream_" +
+                               policy + "_" + std::to_string(workers) +
+                               ".ndjson";
+    run = workers == 0 ? run_in_process_streamed(cfg, ndjson)
+                       : run_distributed(cfg, workers, true, ndjson);
+    std::remove(ndjson.c_str());
+  } else {
+    run = workers == 0 ? run_in_process(cfg, traced)
+                       : run_distributed(cfg, workers, traced);
+  }
+  return cache.emplace(key, std::move(run)).first->second;
+}
+
 std::string csv_of(const fl::RunResult& result, const char* tag) {
   const std::string path =
       ::testing::TempDir() + "/obs_eq_" + tag + ".csv";
@@ -267,17 +301,16 @@ void expect_results_identical(const fl::RunResult& a, const fl::RunResult& b,
 
 TEST(ObsTransparencyTest, TracedInProcessRunIsBitIdenticalToUntraced) {
   for (const char* policy : kPolicies) {
-    const auto plain = run_in_process(loaded_config(policy), false);
-    const auto traced = run_in_process(loaded_config(policy), true);
+    const auto& plain = cached_run(policy, 0, Mode::kPlain);
+    const auto& traced = cached_run(policy, 0, Mode::kTraced);
     expect_results_identical(plain.result, traced.result, policy);
     EXPECT_FALSE(traced.trace.spans.empty()) << policy;
   }
 }
 
 TEST(ObsTransparencyTest, TracedSocketRunIsBitIdenticalToUntraced) {
-  const auto cfg = loaded_config("fastk");
-  const auto plain = run_distributed(cfg, 2, false);
-  const auto traced = run_distributed(cfg, 2, true);
+  const auto& plain = cached_run("fastk", 2, Mode::kPlain);
+  const auto& traced = cached_run("fastk", 2, Mode::kTraced);
   expect_results_identical(plain.result, traced.result, "fastk/2 workers");
 }
 
@@ -286,13 +319,9 @@ TEST(ObsTransparencyTest, StreamedFlightArmedInProcessRunIsBitIdentical) {
   // guarantee: streaming live NDJSON snapshots every round and feeding the
   // flight ring cannot move a single byte of the run, for any policy.
   for (const char* policy : kPolicies) {
-    const auto plain = run_in_process(loaded_config(policy), false);
-    const std::string ndjson = ::testing::TempDir() + "/obs_eq_stream_" +
-                               policy + ".ndjson";
-    const auto streamed =
-        run_in_process_streamed(loaded_config(policy), ndjson);
+    const auto& plain = cached_run(policy, 0, Mode::kPlain);
+    const auto& streamed = cached_run(policy, 0, Mode::kStreamed);
     expect_results_identical(plain.result, streamed.result, policy);
-    std::remove(ndjson.c_str());
   }
 }
 
@@ -302,20 +331,16 @@ TEST(ObsTransparencyTest, StreamedFlightArmedSocketRunIsBitIdentical) {
   // workers answer from their tracer snapshot without touching training
   // state, so a 2-worker streamed run byte-matches the plain one.
   for (const char* policy : kPolicies) {
-    const auto cfg = loaded_config(policy);
-    const auto plain = run_distributed(cfg, 2, false);
-    const std::string ndjson = ::testing::TempDir() + "/obs_eq_sock_" +
-                               policy + ".ndjson";
-    const auto streamed = run_distributed(cfg, 2, true, ndjson);
+    const auto& plain = cached_run(policy, 2, Mode::kPlain);
+    const auto& streamed = cached_run(policy, 2, Mode::kStreamed);
     expect_results_identical(plain.result, streamed.result, policy);
-    std::remove(ndjson.c_str());
   }
 }
 
 TEST(ObsDeterminismTest, VirtualSpansAndCountersRepeatExactly) {
   for (const char* policy : kPolicies) {
-    const auto a = run_in_process(loaded_config(policy), true);
-    const auto b = run_in_process(loaded_config(policy), true);
+    const auto& a = cached_run(policy, 0, Mode::kTraced);
+    const auto& b = cached_run(policy, 0, Mode::kTracedRepeat);
     EXPECT_EQ(virtual_stream(a.trace), virtual_stream(b.trace)) << policy;
     EXPECT_EQ(comparable_counters(a.trace), comparable_counters(b.trace))
         << policy;
@@ -328,8 +353,8 @@ TEST(ObsDeterminismTest, VirtualSpansIdenticalInProcessVsSocket) {
   // coordinator in both engines — shipping training over sockets must not
   // perturb a single timestamp, arg, or emission position.
   for (const char* policy : kPolicies) {
-    const auto local = run_in_process(loaded_config(policy), true);
-    const auto remote = run_distributed(loaded_config(policy), 2, true);
+    const auto& local = cached_run(policy, 0, Mode::kTraced);
+    const auto& remote = cached_run(policy, 2, Mode::kTraced);
     EXPECT_EQ(virtual_stream(local.trace), virtual_stream(remote.trace))
         << policy;
     EXPECT_EQ(comparable_counters(local.trace),
@@ -340,10 +365,9 @@ TEST(ObsDeterminismTest, VirtualSpansIdenticalInProcessVsSocket) {
 }
 
 TEST(ObsDeterminismTest, VirtualSpansInvariantUnderWorkerCount) {
-  const auto cfg = loaded_config("deadline");
-  const auto one = run_distributed(cfg, 1, true);
+  const auto& one = cached_run("deadline", 1, Mode::kTraced);
   for (std::size_t n : {2, 3}) {
-    const auto many = run_distributed(cfg, n, true);
+    const auto& many = cached_run("deadline", n, Mode::kTraced);
     EXPECT_EQ(virtual_stream(one.trace), virtual_stream(many.trace))
         << n << " workers";
     EXPECT_EQ(comparable_counters(one.trace),
@@ -358,11 +382,11 @@ TEST(ObsDeterminismTest, VspanHistogramsDeterministicAcrossEngines) {
   // bit-for-bit (sum included) across runs and between the in-process and
   // socket engines, for every policy.
   for (const char* policy : kPolicies) {
-    const auto a = run_in_process(loaded_config(policy), true);
-    const auto b = run_in_process(loaded_config(policy), true);
+    const auto& a = cached_run(policy, 0, Mode::kTraced);
+    const auto& b = cached_run(policy, 0, Mode::kTracedRepeat);
     expect_histograms_identical(a.trace, b.trace,
                                 std::string(policy) + "/repeat");
-    const auto remote = run_distributed(loaded_config(policy), 2, true);
+    const auto& remote = cached_run(policy, 2, Mode::kTraced);
     expect_histograms_identical(a.trace, remote.trace,
                                 std::string(policy) + "/local-vs-socket");
   }
@@ -372,10 +396,9 @@ TEST(ObsDeterminismTest, VspanHistogramsInvariantUnderWorkerCount) {
   // 1-vs-N: shipping training over more sockets must not perturb a single
   // bucket count or the order-sensitive sum — the virtual clock schedule,
   // and with it every vspan observation, is a pure function of the config.
-  const auto cfg = loaded_config("fastk");
-  const auto one = run_distributed(cfg, 1, true);
+  const auto& one = cached_run("fastk", 1, Mode::kTraced);
   for (std::size_t n : {2, 3}) {
-    const auto many = run_distributed(cfg, n, true);
+    const auto& many = cached_run("fastk", n, Mode::kTraced);
     expect_histograms_identical(one.trace, many.trace,
                                 std::to_string(n) + " workers");
   }
@@ -384,7 +407,7 @@ TEST(ObsDeterminismTest, VspanHistogramsInvariantUnderWorkerCount) {
 TEST(ObsDeterminismTest, EfResidualGaugeIsRecordedAndDeterministic) {
   // The EF stack is on in loaded_config; the residual-norm gauge must be
   // present and repeat exactly (it is a pure function of the run).
-  const auto a = run_in_process(loaded_config("sync"), true);
+  const auto& a = cached_run("sync", 0, Mode::kTraced);
   ASSERT_TRUE(a.trace.gauges.count("comm.ef_residual_l2.up"));
   EXPECT_GT(a.trace.gauges.at("comm.ef_residual_l2.up"), 0.0);
 }

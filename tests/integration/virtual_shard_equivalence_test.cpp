@@ -189,17 +189,6 @@ TEST(VirtualShardEquivalenceTest, DeadlineBitIdentical) {
   expect_virtual_matches_materialized(cfg, "deadline");
 }
 
-TEST(VirtualShardEquivalenceTest, ByteExactModeComposes) {
-  // Byte-exact channels route every transfer through real serialized
-  // buffers — composed with virtual shards nothing may shift.
-  fl::ExperimentConfig cfg = loaded_config();
-  cfg.sched.policy = "async";
-  cfg.comm.byte_exact = true;
-  const auto materialized = run_in_process(cfg, "shard");
-  const auto virt = run_in_process(cfg, "virtual");
-  expect_equal_runs(materialized, virt, "async/byte-exact");
-}
-
 TEST(VirtualShardEquivalenceTest, DropoutFedTripBitIdentical) {
   expect_virtual_matches_materialized(dropout_config(), "dropout/FedTrip");
 }

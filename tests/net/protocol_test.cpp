@@ -60,7 +60,6 @@ fl::ExperimentConfig sample_config() {
   cfg.comm.uplink = "ef+topk";
   cfg.comm.downlink = "qsgd8";
   cfg.comm.delta_uplink = true;
-  cfg.comm.byte_exact = true;
   cfg.comm.params.topk_fraction = 0.05f;
   cfg.comm.params.qsgd_bits = 4;
   cfg.comm.params.mask_keep = 0.3f;
@@ -73,7 +72,6 @@ fl::ExperimentConfig sample_config() {
   cfg.sched.buffer_size = 3;
   cfg.sched.staleness_alpha = 0.75;
   cfg.sched.deadline_s = 12.5;
-  cfg.sched.deadline_skip_doomed = false;
   cfg.clients.compute_profile = "bimodal";
   cfg.clients.seconds_per_sample = 0.002;
   cfg.clients.availability = "trace";
@@ -162,7 +160,6 @@ TEST(ProtocolTest, SetupRoundTripAllFields) {
   EXPECT_EQ(c.comm.uplink, e.comm.uplink);
   EXPECT_EQ(c.comm.downlink, e.comm.downlink);
   EXPECT_EQ(c.comm.delta_uplink, e.comm.delta_uplink);
-  EXPECT_EQ(c.comm.byte_exact, e.comm.byte_exact);
   EXPECT_EQ(c.comm.params.topk_fraction, e.comm.params.topk_fraction);
   EXPECT_EQ(c.comm.params.qsgd_bits, e.comm.params.qsgd_bits);
   EXPECT_EQ(c.comm.params.mask_keep, e.comm.params.mask_keep);
@@ -176,7 +173,6 @@ TEST(ProtocolTest, SetupRoundTripAllFields) {
   EXPECT_EQ(c.sched.buffer_size, e.sched.buffer_size);
   EXPECT_EQ(c.sched.staleness_alpha, e.sched.staleness_alpha);
   EXPECT_EQ(c.sched.deadline_s, e.sched.deadline_s);
-  EXPECT_EQ(c.sched.deadline_skip_doomed, e.sched.deadline_skip_doomed);
   EXPECT_EQ(c.clients.compute_profile, e.clients.compute_profile);
   EXPECT_EQ(c.clients.seconds_per_sample, e.clients.seconds_per_sample);
   EXPECT_EQ(c.clients.availability, e.clients.availability);

@@ -7,8 +7,7 @@
 // message, so the worker takes no experiment flags — only where to find
 // its coordinator, how long to keep serving, and which deterministic
 // faults to inject (the chaos suite's knobs; net/elastic/chaos.h). The
-// flag surface is registered in fl::worker_flags() and drift-checked
-// against the handler table here on every start.
+// flag surface is registered in fl::worker_flags(), which renders --help.
 //
 // Session loop:
 //   --connect  dial the coordinator, serve. On an orderly shutdown the
@@ -22,9 +21,12 @@
 // crash exits 1 immediately, result unsent, exactly like a real death.
 #include <time.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "fl/flags.h"
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
   using namespace fedtrip;
 
   std::string connect_spec;
-  long listen_port = -1;
+  std::optional<std::uint16_t> listen_port;
   std::size_t max_sessions = 0;  // 0 = unbounded
   net::ChaosConfig chaos;
   std::string flight_dir;
@@ -100,40 +102,34 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (!std::strcmp(flag, "--connect")) {
-      connect_spec = value();
-    } else if (!std::strcmp(flag, "--listen")) {
-      listen_port = std::atol(value());
-    } else if (!std::strcmp(flag, "--max-sessions")) {
-      max_sessions = static_cast<std::size_t>(std::atol(value()));
-    } else if (!std::strcmp(flag, "--chaos-kill-after")) {
-      chaos.kill_after_dispatches =
-          static_cast<std::size_t>(std::atol(value()));
-    } else if (!std::strcmp(flag, "--chaos-drop-after")) {
-      chaos.drop_after_dispatches =
-          static_cast<std::size_t>(std::atol(value()));
-    } else if (!std::strcmp(flag, "--chaos-delay-ms")) {
-      chaos.delay_dispatch_ms = std::atof(value());
-    } else if (!std::strcmp(flag, "--flight-recorder")) {
-      flight_dir = value();
-    } else if (!std::strcmp(flag, "--help")) {
-      std::printf("%s", usage.c_str());
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown option %s\n%s", flag, usage.c_str());
+    try {
+      if (!std::strcmp(flag, "--connect")) {
+        connect_spec = value();
+      } else if (!std::strcmp(flag, "--listen")) {
+        listen_port = fl::parse_flag<std::uint16_t>(value());
+      } else if (!std::strcmp(flag, "--max-sessions")) {
+        max_sessions = fl::parse_flag<std::size_t>(value());
+      } else if (!std::strcmp(flag, "--chaos-kill-after")) {
+        chaos.kill_after_dispatches = fl::parse_flag<std::size_t>(value());
+      } else if (!std::strcmp(flag, "--chaos-drop-after")) {
+        chaos.drop_after_dispatches = fl::parse_flag<std::size_t>(value());
+      } else if (!std::strcmp(flag, "--chaos-delay-ms")) {
+        chaos.delay_dispatch_ms = fl::parse_flag<double>(value());
+      } else if (!std::strcmp(flag, "--flight-recorder")) {
+        flight_dir = value();
+      } else if (!std::strcmp(flag, "--help")) {
+        std::printf("%s", usage.c_str());
+        return 0;
+      } else {
+        std::fprintf(stderr, "unknown option %s\n%s", flag, usage.c_str());
+        return 2;
+      }
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s: %s\n", flag, e.what());
       return 2;
     }
   }
-  // Drift guard: every registered flag must be handled above (the handler
-  // chain is hand-written, so this is the check that keeps it honest).
-  for (const auto& spec : fl::worker_flags()) {
-    if (std::strstr(usage.c_str(), spec.name) == nullptr) {
-      std::fprintf(stderr, "BUG: flag %s missing from worker usage\n",
-                   spec.name);
-      return 2;
-    }
-  }
-  if (connect_spec.empty() == (listen_port < 0)) {
+  if (connect_spec.empty() == !listen_port.has_value()) {
     std::fprintf(stderr,
                  "exactly one of --connect HOST:PORT or --listen PORT is "
                  "required\n%s",
@@ -176,7 +172,7 @@ int main(int argc, char** argv) {
   // logged and the worker goes back to accepting — a long-lived worker
   // must not be killable by one bad peer.
   try {
-    net::Listener listener(static_cast<std::uint16_t>(listen_port));
+    net::Listener listener(*listen_port);
     std::fprintf(stderr, "fl_worker: listening on 127.0.0.1:%u\n",
                  listener.port());
     std::size_t served = 0;

@@ -1,6 +1,6 @@
 // wire_dump: human-readable decode of any wire artefact — payload or
-// checkpoint containers (docs/WIRE_FORMAT.md), legacy FEDTRIP1
-// checkpoints, and the distributed-runner transport records
+// checkpoint containers (docs/WIRE_FORMAT.md) and the distributed-runner
+// transport records
 // (docs/TRANSPORT.md; a captured session wrapped in a container decodes
 // record by record). The inspector half of the serialization subsystem:
 // when a run, a golden fixture, or a socket peer produces bytes you don't
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -273,16 +272,6 @@ void dump_net_record(const wire::Record& rec) {
 int dump_file(const char* path) {
   const auto buf = wire::read_file(path);
   std::printf("%s: %zu bytes\n", path, buf.size());
-
-  constexpr char kLegacyMagic[8] = {'F', 'E', 'D', 'T', 'R', 'I', 'P', '1'};
-  if (buf.size() >= sizeof(kLegacyMagic) &&
-      std::memcmp(buf.data(), kLegacyMagic, sizeof(kLegacyMagic)) == 0) {
-    std::uint64_t n = 0;
-    if (buf.size() >= 16) std::memcpy(&n, buf.data() + 8, sizeof(n));
-    std::printf("  legacy checkpoint (FEDTRIP1), %llu parameters\n",
-                static_cast<unsigned long long>(n));
-    return 0;
-  }
 
   const auto records = wire::read_container(buf.data(), buf.size());
   std::printf("  FTWIRE container, version %u, %zu record(s)\n",
