@@ -1,6 +1,7 @@
-// Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, im2col
-// convolution, the attaching operations whose 2|w| / 4|w| costs drive
-// the paper's Table V/VIII accounting, and test-set evaluation.
+// Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, direct
+// and im2col convolution, the attaching operations whose 2|w| / 4|w|
+// costs drive the paper's Table V/VIII accounting, and test-set
+// evaluation.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -107,6 +108,101 @@ void BM_AddOuterIsa(benchmark::State& state, ops::OuterFn kernel) {
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
 
+// The CNN's stride-1 convs over paper-cnn's batch of 15: conv1 (1 -> 6,
+// 5x5, pad 2, on 28x28; arg 0) and conv2 (6 -> 16, 5x5, on 14x14; arg 1).
+ops::ConvShape cnn_conv(std::int64_t which) {
+  return which == 0 ? ops::ConvShape{15, 1, 28, 28, 6, 5, 2}
+                    : ops::ConvShape{15, 6, 14, 14, 16, 5, 0};
+}
+
+// Operands of one conv: input, weight, bias, grad_output and the
+// parameter gradients.
+struct ConvOperands {
+  ops::ConvShape s;
+  std::int64_t out_hw, taps;
+  std::vector<float> x, w, b, y, gw, gb;
+
+  explicit ConvOperands(std::int64_t which) : s(cnn_conv(which)) {
+    const std::int64_t out = ops::conv_out_size(s.height, s.kernel, 1, s.pad);
+    out_hw = out * out;
+    taps = s.in_c * s.kernel * s.kernel;
+    x.resize(s.batch * s.in_c * s.height * s.width);
+    w.resize(s.out_c * taps);
+    b.resize(s.out_c);
+    y.resize(s.batch * s.out_c * out_hw);
+    gw.resize(w.size());
+    gb.resize(b.size());
+    Rng rng(13);
+    for (auto* v : {&x, &w, &b, &y}) {
+      for (auto& e : *v) e = rng.normal();
+    }
+  }
+};
+
+// A variant's direct conv kernels (BM_ConvIsa/<isa>/direct_*) against the
+// path they replaced, run with the same variant's GEMMs
+// (BM_ConvIsa/<isa>/im2col_*): per sample im2col and gemm plus the bias
+// for the forward; bias sums, im2col and gemm_nt for the parameter
+// gradients.
+void BM_ConvForwardIsa(benchmark::State& state, const ops::GemmKernels* v,
+                       bool direct) {
+  ConvOperands c(state.range(0));
+  std::vector<float> cols(c.taps * c.out_hw);
+  const std::int64_t img = c.s.in_c * c.s.height * c.s.width;
+  for (auto _ : state) {
+    if (direct) {
+      v->conv_forward(c.x.data(), c.w.data(), c.b.data(), c.y.data(), c.s);
+    } else {
+      for (std::int64_t n = 0; n < c.s.batch; ++n) {
+        ops::im2col(c.x.data() + n * img, c.s.in_c, c.s.height, c.s.width,
+                    c.s.kernel, c.s.kernel, 1, c.s.pad, cols.data());
+        float* o = c.y.data() + n * c.s.out_c * c.out_hw;
+        v->gemm(c.w.data(), cols.data(), o, c.s.out_c, c.taps, c.out_hw, 1.0f,
+                0.0f);
+        for (std::int64_t co = 0; co < c.s.out_c; ++co) {
+          for (std::int64_t q = 0; q < c.out_hw; ++q) {
+            o[co * c.out_hw + q] += c.b[co];
+          }
+        }
+      }
+    }
+    benchmark::DoNotOptimize(c.y.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_ConvParamsIsa(benchmark::State& state, const ops::GemmKernels* v,
+                      bool direct) {
+  ConvOperands c(state.range(0));
+  std::vector<float> cols(c.taps * c.out_hw);
+  const std::int64_t img = c.s.in_c * c.s.height * c.s.width;
+  for (auto _ : state) {
+    if (direct) {
+      v->conv_backward_params(c.x.data(), c.y.data(), c.gw.data(),
+                              c.gb.data(), c.s);
+    } else {
+      for (std::int64_t n = 0; n < c.s.batch; ++n) {
+        const float* go = c.y.data() + n * c.s.out_c * c.out_hw;
+        for (std::int64_t co = 0; co < c.s.out_c; ++co) {
+          float sum = 0.0f;
+          for (std::int64_t q = 0; q < c.out_hw; ++q) {
+            sum += go[co * c.out_hw + q];
+          }
+          c.gb[co] += sum;
+        }
+      }
+      for (std::int64_t n = 0; n < c.s.batch; ++n) {
+        ops::im2col(c.x.data() + n * img, c.s.in_c, c.s.height, c.s.width,
+                    c.s.kernel, c.s.kernel, 1, c.s.pad, cols.data());
+        v->gemm_nt(c.y.data() + n * c.s.out_c * c.out_hw, cols.data(),
+                   c.gw.data(), c.s.out_c, c.out_hw, c.taps, 1.0f, 1.0f);
+      }
+    }
+    benchmark::DoNotOptimize(c.gw.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 // The same shapes once per instruction-set variant this CPU runs
 // (BM_GemmShape/<isa>/<kernel>), so each variant's block shapes are
 // measured where they run; BM_GemmShape/<kernel> times the variant ops::
@@ -128,24 +224,35 @@ const bool kIsaBenchmarks = [] {
         ("BM_AddOuterIsa/" + isa).c_str(), BM_AddOuterIsa,
         v.add_outer_products)
         ->Arg(15);
+    for (const bool direct : {true, false}) {
+      const std::string path = direct ? "/direct" : "/im2col";
+      benchmark::RegisterBenchmark(
+          ("BM_ConvIsa/" + isa + path + "_forward").c_str(),
+          BM_ConvForwardIsa, &v, direct)
+          ->Arg(0)
+          ->Arg(1);
+      benchmark::RegisterBenchmark(
+          ("BM_ConvIsa/" + isa + path + "_params").c_str(), BM_ConvParamsIsa,
+          &v, direct)
+          ->Arg(0)
+          ->Arg(1);
+    }
   }
   return true;
 }();
 
-// paper-cnn's convs at its batch size (15): conv2 (6 -> 16, 5x5 on 14x14)
-// and conv3, whose 1x1 output runs one GEMM over the batch (16 -> 120,
-// 5x5 on 5x5). Argument: 0 for conv2, 1 for conv3.
+// paper-cnn's convs at its batch size (15): conv2 (6 -> 16, 5x5 on 14x14),
+// conv3, whose 1x1 output runs one GEMM over the batch (16 -> 120, 5x5 on
+// 5x5), and conv1 (1 -> 6, 5x5, pad 2, on 28x28). Argument: 0 for conv2,
+// 1 for conv3, 2 for conv1.
 nn::Conv2d make_conv(std::int64_t which, Rng& rng, Tensor& x) {
-  if (which == 0) {
-    x = Tensor(Shape{15, 6, 14, 14});
-  } else {
-    x = Tensor(Shape{15, 16, 5, 5});
-  }
+  const std::int64_t in_c[] = {6, 16, 1}, hw[] = {14, 5, 28};
+  const std::int64_t out_c[] = {16, 120, 6}, pad[] = {0, 0, 2};
+  x = Tensor(Shape{15, in_c[which], hw[which], hw[which]});
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[static_cast<std::size_t>(i)] = rng.normal();
   }
-  return which == 0 ? nn::Conv2d(6, 16, 5, 1, 0, rng)
-                    : nn::Conv2d(16, 120, 5, 1, 0, rng);
+  return nn::Conv2d(in_c[which], out_c[which], 5, 1, pad[which], rng);
 }
 
 void BM_Conv2dForward(benchmark::State& state) {
@@ -157,7 +264,7 @@ void BM_Conv2dForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Conv2dForward)->Arg(0)->Arg(1);
+BENCHMARK(BM_Conv2dForward)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Conv2dBackward(benchmark::State& state) {
   Rng rng(3);
@@ -174,7 +281,7 @@ void BM_Conv2dBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(gx.data());
   }
 }
-BENCHMARK(BM_Conv2dBackward)->Arg(0)->Arg(1);
+BENCHMARK(BM_Conv2dBackward)->Arg(0)->Arg(1)->Arg(2);
 
 // im2col and col2im of one sample, as the convs run them per sample: the
 // CNN's conv1 (1x28x28, 5x5, pad 2; arg 0) and conv2 (6x14x14, 5x5; arg 1).

@@ -1,8 +1,9 @@
 #include "fl/checkpoint.h"
 
+#include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "wire/container.h"
 
@@ -58,6 +59,43 @@ void save_history_csv(const std::string& path,
   for (const auto& r : history) csv.append(r);
 }
 
+namespace {
+
+// The comma-separated fields of one history row, read in order. A field
+// must parse whole with std::from_chars: a real accepts what the writer
+// prints, nan, -nan, inf and -inf included (a NaN keeps its sign), and a
+// count is digits only.
+class RowReader {
+ public:
+  explicit RowReader(std::string_view row) : rest_(row) {}
+
+  template <typename T>
+  RowReader& operator>>(T& out) {
+    if (!ok_ || done_) {
+      ok_ = false;
+      return *this;
+    }
+    const std::size_t comma = rest_.find(',');
+    const std::string_view field = rest_.substr(0, comma);
+    done_ = comma == std::string_view::npos;
+    rest_.remove_prefix(done_ ? rest_.size() : comma + 1);
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+    ok_ = !field.empty() && ec == std::errc() && ptr == end;
+    return *this;
+  }
+
+  // Whether every field parsed and none is left over.
+  bool complete() const { return ok_ && done_; }
+
+ private:
+  std::string_view rest_;
+  bool ok_ = true;
+  bool done_ = false;
+};
+
+}  // namespace
+
 std::vector<RoundRecord> load_history_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open for read: " + path);
@@ -66,18 +104,14 @@ std::vector<RoundRecord> load_history_csv(const std::string& path) {
   std::getline(in, line);  // header
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    std::stringstream ss(line);
+    RowReader row(line);
     RoundRecord r;
-    char comma;
-    // Every row carries all 15 columns of the header.
-    ss >> r.round >> comma >> r.test_accuracy >> comma >> r.train_loss >>
-        comma >> r.cum_gflops >> comma >> r.cum_comm_mb >> comma >>
-        r.cum_mb_down >> comma >> r.cum_mb_up >> comma >>
-        r.cum_comm_seconds >> comma >> r.mean_staleness >> comma >>
-        r.max_staleness >> comma >> r.dropped >> comma >> r.unavailable >>
-        comma >> r.deadline_deferred >> comma >> r.mean_compute_seconds >>
-        comma >> r.mean_comm_seconds;
-    if (ss.fail()) throw std::runtime_error("bad CSV row: " + line);
+    // Every row carries all 15 columns of the header, and no more.
+    row >> r.round >> r.test_accuracy >> r.train_loss >> r.cum_gflops >>
+        r.cum_comm_mb >> r.cum_mb_down >> r.cum_mb_up >> r.cum_comm_seconds >>
+        r.mean_staleness >> r.max_staleness >> r.dropped >> r.unavailable >>
+        r.deadline_deferred >> r.mean_compute_seconds >> r.mean_comm_seconds;
+    if (!row.complete()) throw std::runtime_error("bad CSV row: " + line);
     history.push_back(r);
   }
   return history;

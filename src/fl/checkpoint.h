@@ -58,8 +58,9 @@ class HistoryCsvWriter {
 void save_history_csv(const std::string& path,
                       const std::vector<RoundRecord>& history);
 
-/// Parses a CSV produced by save_history_csv. Every row must carry all 15
-/// columns; a shorter or malformed row throws std::runtime_error.
+/// Parses a CSV produced by save_history_csv, non-finite values (nan,
+/// -nan, inf, -inf) included. Every row must carry exactly the 15 columns;
+/// a shorter, longer or malformed row throws std::runtime_error.
 std::vector<RoundRecord> load_history_csv(const std::string& path);
 
 }  // namespace fedtrip::fl

@@ -41,6 +41,10 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
   bias_.zero();
 }
 
+ops::ConvShape Conv2d::shape(std::int64_t batch) const {
+  return {batch, in_channels_, last_h_, last_w_, out_channels_, kernel_, pad_};
+}
+
 Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
   assert(input.shape().rank() == 4 && input.shape()[1] == in_channels_);
   input_cache_ = input;
@@ -86,6 +90,12 @@ Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
     return out;
   }
 
+  if (stride_ == 1) {
+    ops::conv_forward(input.data(), weight_.data(), bias_.data(), out.data(),
+                      shape(batch));
+    return out;
+  }
+
   grow(cols_, col_rows * col_cols);
   for (std::int64_t n = 0; n < batch; ++n) {
     ops::im2col(input.data() + n * img_size, in_channels_, h, w, kernel_,
@@ -111,6 +121,13 @@ void Conv2d::backward_params(const Tensor& grad_output) {
   const std::int64_t col_rows = in_channels_ * kernel_ * kernel_;
   const std::int64_t img_size = in_channels_ * last_h_ * last_w_;
   const std::int64_t out_size = out_channels_ * col_cols;
+
+  if (stride_ == 1 && col_cols > 1) {
+    ops::conv_backward_params(input_cache_.data(), grad_output.data(),
+                              grad_weight_.data(), grad_bias_.data(),
+                              shape(batch));
+    return;
+  }
 
   for (std::int64_t n = 0; n < batch; ++n) {
     const float* go = grad_output.data() + n * out_size;

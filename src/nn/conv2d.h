@@ -1,9 +1,13 @@
-// Conv2d: 2-D convolution via im2col + GEMM, with full backward.
+// Conv2d: 2-D convolution with full backward. A stride-1 conv with an
+// output larger than 1x1 runs the direct kernels (ops::conv_forward,
+// ops::conv_backward_params) for its forward and parameter gradients; the
+// rest, and every input gradient, run im2col + GEMM.
 #pragma once
 
 #include <vector>
 
 #include "nn/module.h"
+#include "tensor/ops.h"
 #include "tensor/rng.h"
 
 namespace fedtrip::nn {
@@ -32,6 +36,9 @@ class Conv2d : public Module {
   std::int64_t pad() const { return pad_; }
 
  private:
+  // The direct kernels' geometry for a batch at the last forward's size.
+  ops::ConvShape shape(std::int64_t batch) const;
+
   std::int64_t in_channels_;
   std::int64_t out_channels_;
   std::int64_t kernel_;

@@ -31,6 +31,8 @@ struct WideArgs {
   std::int64_t m, k, n;
   float alpha, beta;
   const float* tail;  // k x lanes panel of B's last columns, or nullptr
+  // A direct convolution's B: row p starts at b + shifts[p] (ops_kernels.inc)
+  const std::int64_t* shifts;
 };
 
 // ------------------------------------------------------- per-ISA builds
@@ -46,9 +48,12 @@ struct WideArgs {
 //   kNarrowCols             below this many output columns gemm and
 //                           gemm_tn take the narrow kernel, which holds
 //                           kNarrowVecs vectors of rows;
-//   kNtRows x kNtVecs       rows x vectors of gemm_nt's panel.
-// No signature in ops_kernels.inc passes a vector by value, so none
-// depends on the vector ABI (-Wpsabi).
+//   kNtRows x kNtVecs       rows x vectors of gemm_nt's panel;
+//   kGradTaps x kGradVecs   taps x vectors of output channels a block of
+//                           conv_backward_params keeps in registers.
+// H is the half-width vector conv_backward_params keeps output channels in
+// when they fit in half a V. No signature in ops_kernels.inc passes a
+// vector by value, so none depends on the vector ABI (-Wpsabi).
 
 #define FEDTRIP_KERNEL [[gnu::always_inline]] inline FEDTRIP_TARGET
 
@@ -56,11 +61,13 @@ struct WideArgs {
 namespace avx512 {
 using V = f32x16;
 using M = i32x16;
+using H = f32x8;
 constexpr int kWideRows = 4, kWideVecs = 4;
 constexpr bool kDenseBlocks = false;
 constexpr std::int64_t kNarrowCols = 16;
 constexpr int kNarrowVecs = 1;
 constexpr int kNtRows = 8, kNtVecs = 1;
+constexpr int kGradTaps = 8, kGradVecs = 2;
 #define FEDTRIP_TARGET __attribute__((target("avx512f")))
 #include "tensor/ops_kernels.inc"
 #undef FEDTRIP_TARGET
@@ -69,11 +76,13 @@ constexpr int kNtRows = 8, kNtVecs = 1;
 namespace avx2 {
 using V = f32x8;
 using M = i32x8;
+using H = f32x4;
 constexpr int kWideRows = 4, kWideVecs = 2;
 constexpr bool kDenseBlocks = true;
 constexpr std::int64_t kNarrowCols = 16;
 constexpr int kNarrowVecs = 1;
 constexpr int kNtRows = 4, kNtVecs = 1;
+constexpr int kGradTaps = 4, kGradVecs = 2;
 #define FEDTRIP_TARGET __attribute__((target("avx2")))
 #include "tensor/ops_kernels.inc"
 #undef FEDTRIP_TARGET
@@ -92,11 +101,13 @@ bool has_avx2() {
 namespace baseline {
 using V = f32x4;
 using M = i32x4;
+using H = f32x4;
 constexpr int kWideRows = 4, kWideVecs = 2;
 constexpr bool kDenseBlocks = true;
 constexpr std::int64_t kNarrowCols = 16;
 constexpr int kNarrowVecs = 2;
 constexpr int kNtRows = 4, kNtVecs = 2;
+constexpr int kGradTaps = 4, kGradVecs = 2;
 #define FEDTRIP_TARGET
 #include "tensor/ops_kernels.inc"
 #undef FEDTRIP_TARGET
@@ -110,12 +121,15 @@ bool has_baseline() { return true; }
 const GemmKernels kVariants[] = {
 #if defined(__x86_64__) || defined(__i386__)
     {"avx512f", &has_avx512f, &avx512::gemm, &avx512::gemm_tn,
-     &avx512::gemm_nt, &avx512::add_outer_products},
+     &avx512::gemm_nt, &avx512::add_outer_products, &avx512::conv_forward,
+     &avx512::conv_backward_params},
     {"avx2", &has_avx2, &avx2::gemm, &avx2::gemm_tn, &avx2::gemm_nt,
-     &avx2::add_outer_products},
+     &avx2::add_outer_products, &avx2::conv_forward,
+     &avx2::conv_backward_params},
 #endif
     {"baseline", &has_baseline, &baseline::gemm, &baseline::gemm_tn,
-     &baseline::gemm_nt, &baseline::add_outer_products},
+     &baseline::gemm_nt, &baseline::add_outer_products,
+     &baseline::conv_forward, &baseline::conv_backward_params},
 };
 
 const GemmKernels& pick_variant() {
@@ -152,6 +166,17 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
 void add_outer_products(const float* a, const float* b, float* c,
                         std::int64_t m, std::int64_t k, std::int64_t n) {
   active_gemm().add_outer_products(a, b, c, m, k, n);
+}
+
+void conv_forward(const float* x, const float* weight, const float* bias,
+                  float* y, const ConvShape& s) {
+  active_gemm().conv_forward(x, weight, bias, y, s);
+}
+
+void conv_backward_params(const float* x, const float* grad_y,
+                          float* grad_weight, float* grad_bias,
+                          const ConvShape& s) {
+  active_gemm().conv_backward_params(x, grad_y, grad_weight, grad_bias, s);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

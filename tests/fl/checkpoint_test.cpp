@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "wire/container.h"
 
@@ -223,6 +225,71 @@ TEST_F(CheckpointTest, EveryRowNeedsAllFifteenColumns) {
   std::ofstream(path) << kHeader
                       << "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4\n";
   ASSERT_EQ(load_history_csv(path).size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, NonFiniteValuesRoundTrip) {
+  // A diverged run's loss is NaN: the writer prints nan or -nan (the sign
+  // of the machine's default NaN), inf or -inf, and the loader reads each
+  // back, a NaN with its sign.
+  const double inf = std::numeric_limits<double>::infinity();
+  volatile double big = inf;
+  const double default_nan = big - big;
+  const double quiet = std::numeric_limits<double>::quiet_NaN();
+  std::vector<RoundRecord> history(4);
+  history[0].train_loss = default_nan;
+  history[1].train_loss = quiet;
+  history[2].train_loss = -quiet;
+  history[3].train_loss = inf;
+  history[3].test_accuracy = -inf;
+  history[3].mean_comm_seconds = inf;
+  for (std::size_t t = 0; t < history.size(); ++t) history[t].round = t + 1;
+  const std::string path = temp("nonfinite.csv");
+  save_history_csv(path, history);
+  const auto loaded = load_history_csv(path);
+  ASSERT_EQ(loaded.size(), history.size());
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_TRUE(std::isnan(loaded[t].train_loss)) << t;
+    EXPECT_EQ(std::signbit(loaded[t].train_loss),
+              std::signbit(history[t].train_loss))
+        << t;
+  }
+  EXPECT_EQ(loaded[3].train_loss, inf);
+  EXPECT_EQ(loaded[3].test_accuracy, -inf);
+  EXPECT_EQ(loaded[3].mean_comm_seconds, inf);
+  EXPECT_EQ(loaded[3].round, 4u);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, MalformedFieldThrows) {
+  // Each row has 15 fields with one of them malformed (or a 16th field).
+  const char* kHeader =
+      "round,test_accuracy,train_loss,cum_gflops,cum_comm_mb,"
+      "cum_mb_down,cum_mb_up,cum_comm_seconds,mean_staleness,"
+      "max_staleness,dropped,unavailable,deadline_deferred,"
+      "mean_compute_s,mean_comm_s\n";
+  const char* kBadRows[] = {
+      "3,0.5,nanx,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4",
+      "3,0.5,1.25,2.5.1,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4",
+      "3,0.5,abc,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4",
+      "3,0.5,,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4",
+      "3,0.5, 1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4",
+      "-3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4",
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2.5,4,1,2,3,4",
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,nan,4,1,2,3,4",
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4,5",
+      "3,0.5,1.25,2.5,4.5,2.0,2.5,0.75,1.5,2,4,1,2,3,4,"};
+  const std::string path = temp("bad_fields.csv");
+  for (const char* row : kBadRows) {
+    std::ofstream(path) << kHeader << row << "\n";
+    try {
+      load_history_csv(path);
+      ADD_FAILURE() << "accepted " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad CSV row"), std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -7,9 +7,11 @@
 // values. backward_params() must leave backward()'s parameter gradients.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -260,6 +262,74 @@ INSTANTIATE_TEST_SUITE_P(
             // 1x1 outputs whose windows see padding or skip by stride.
             ConvCase{4, 8, 5, 1, 1, 3}, ConvCase{3, 5, 3, 2, 0, 4}),
         ::testing::Values(1, 15, 16, 32)));
+
+// A few ±Inf, NaN of both signs and subnormals among the values of t,
+// so that most outputs stay finite.
+void sprinkle_specials(Tensor& t, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float nan = quiet_nan();
+  const float pool[] = {inf, -inf, nan, -nan, tiny, -2.0f * tiny};
+  const std::int64_t n = std::max<std::int64_t>(2, t.numel() / 150);
+  for (std::int64_t i = 0; i < n; ++i) {
+    t[rng.uniform_int(static_cast<std::uint64_t>(t.numel()))] =
+        pool[i % std::size(pool)];
+  }
+}
+
+// NaN where the other has NaN, and every other value byte for byte: which
+// NaN a sum of two NaNs carries is left open.
+bool same_bytes_or_nan(const Tensor& t, const std::vector<float>& y) {
+  if (t.numel() != static_cast<std::int64_t>(y.size())) return false;
+  const float* x = t.data();
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    if (std::isnan(x[i]) != std::isnan(y[i])) return false;
+    if (!std::isnan(y[i]) && std::memcmp(&x[i], &y[i], sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The forward skips a term whose weight is zero, so a zero weight (of
+// either sign) on an Inf or NaN pixel adds nothing; the weight gradient
+// skips nothing, so an Inf gradient on a zero pixel or the zero border
+// makes NaN. Every conv path must keep both rules.
+TEST(ConvSpecialValuesTest, MatchesFrozenPerSampleConv) {
+  for (const auto& [in_c, out_c, kk, stride, pad, hw] :
+       {ConvCase{1, 6, 5, 1, 2, 28}, ConvCase{6, 16, 5, 1, 0, 14},
+        ConvCase{16, 120, 5, 1, 0, 5}, ConvCase{3, 16, 3, 2, 1, 32},
+        ConvCase{16, 48, 3, 1, 1, 8}}) {
+    const std::int64_t batch = 4;
+    Rng rng(static_cast<std::uint64_t>(in_c * 97 + out_c * 13 + hw));
+    Conv2d conv(in_c, out_c, kk, stride, pad, rng);
+    Tensor& weight = *conv.parameters()[0];
+    Tensor& bias = *conv.parameters()[1];
+    weight = sparse_tensor(weight.shape(), rng);
+    bias = sparse_tensor(bias.shape(), rng);
+    Tensor x = sparse_tensor(Shape{batch, in_c, hw, hw}, rng);
+    sprinkle_specials(x, rng);
+    const std::int64_t out_hw = ops::conv_out_size(hw, kk, stride, pad);
+    Tensor g = sparse_tensor(Shape{batch, out_c, out_hw, out_hw}, rng);
+    sprinkle_specials(g, rng);
+    const Grads want =
+        frozen_conv(weight, bias, x, g, out_c, kk, stride, pad, /*passes=*/2);
+    const std::string where = "conv " + std::to_string(in_c) + "->" +
+                              std::to_string(out_c) + " on " +
+                              std::to_string(hw);
+
+    const Tensor y = conv.forward(x, true);
+    EXPECT_TRUE(same_bytes_or_nan(y, want.out)) << where << " forward";
+    Tensor gx = conv.backward(g);
+    gx = conv.backward(g);
+    EXPECT_TRUE(same_bytes_or_nan(gx, want.grad_input))
+        << where << " grad_input";
+    EXPECT_TRUE(same_bytes_or_nan(*conv.gradients()[0], want.grad_weight))
+        << where << " grad_weight";
+    EXPECT_TRUE(same_bytes_or_nan(*conv.gradients()[1], want.grad_bias))
+        << where << " grad_bias";
+  }
+}
 
 // ---------------------------------------------------------------- linear
 

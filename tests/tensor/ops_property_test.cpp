@@ -1,6 +1,7 @@
 // Property sweeps over kernel shapes: GEMM kernels against a naive
 // reference and, bit for bit, against the scalar kernels they replaced, in
-// every instruction-set variant the host can run; im2col/col2im against
+// every instruction-set variant the host can run; the direct convolutions
+// against frozen im2col + GEMM in every variant; im2col/col2im against
 // their frozen loops and adjointness, across a parameter grid.
 #include <gtest/gtest.h>
 
@@ -237,6 +238,12 @@ std::vector<GemmShape> gemm_shapes() {
   // partial last vector at 4, 8 and 16 lanes.
   for (int n = 1; n <= 17; ++n) shapes.emplace_back(19, 23, n);
   for (int n : {31, 33, 65, 100, 784}) shapes.emplace_back(19, 23, n);
+  // Every row remainder of the narrow kernel's blocks (8 rows at 4 and 8
+  // lanes, 16 at 16 lanes), at two widths below the cut.
+  for (int m = 1; m <= 33; ++m) {
+    shapes.emplace_back(m, 7, 8);
+    shapes.emplace_back(m, 5, 1 + (m * 7) % 15);
+  }
   return shapes;
 }
 
@@ -254,6 +261,110 @@ TEST(GemmVariantsTest, BaselineLastAndTheFirstSupportedRuns) {
 
 INSTANTIATE_TEST_SUITE_P(ShapeGrid, GemmPropertyTest,
                          ::testing::ValuesIn(gemm_shapes()));
+
+// (in_c, out_c, h, w, kernel, pad) of a stride-1 convolution.
+using DirectGeom = std::tuple<int, int, int, int, int, int>;
+
+class DirectConvPropertyTest : public ::testing::TestWithParam<DirectGeom> {
+ protected:
+  // conv_forward and conv_backward_params of every runnable variant on
+  // three samples filled `how`, against per-sample frozen im2col + gemm
+  // (+ bias) and bias sums + frozen im2col + gemm_nt, the gradients over
+  // two accumulating passes from non-zero starting values.
+  void check_bits(Fill how) {
+    const auto [in_c, out_c, h, w, kk, pad] = GetParam();
+    const ops::ConvShape s{3, in_c, h, w, out_c, kk, pad};
+    const std::int64_t out_h = ops::conv_out_size(h, kk, 1, pad);
+    const std::int64_t out_w = ops::conv_out_size(w, kk, 1, pad);
+    const std::int64_t taps = in_c * kk * kk, out_hw = out_h * out_w;
+    const std::int64_t img = in_c * h * w, out_size = out_c * out_hw;
+    Rng rng(static_cast<std::uint64_t>(in_c * 7919 + out_c * 613 + h * 31 +
+                                       w * 7 + kk * 3 + pad) ^
+            (static_cast<std::uint64_t>(how) << 40));
+    std::vector<float> x(static_cast<std::size_t>(s.batch * img));
+    std::vector<float> weight(static_cast<std::size_t>(out_c * taps));
+    std::vector<float> bias(static_cast<std::size_t>(out_c));
+    std::vector<float> dy(static_cast<std::size_t>(s.batch * out_size));
+    std::vector<float> gw0(weight.size()), gb0(bias.size());
+    for (auto* v : {&x, &weight, &bias, &dy, &gw0, &gb0}) fill(*v, rng, how);
+
+    std::vector<float> want_y(dy.size()), want_gw = gw0, want_gb = gb0;
+    std::vector<float> cols(static_cast<std::size_t>(taps * out_hw));
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::int64_t n = 0; n < s.batch; ++n) {
+        frozen::im2col(x.data() + n * img, in_c, h, w, kk, kk, 1, pad,
+                       cols.data());
+        const float* go = dy.data() + n * out_size;
+        if (pass == 0) {
+          float* o = want_y.data() + n * out_size;
+          frozen::gemm(weight.data(), cols.data(), o, out_c, taps, out_hw);
+          for (std::int64_t c = 0; c < out_c; ++c) {
+            for (std::int64_t q = 0; q < out_hw; ++q) {
+              o[c * out_hw + q] += bias[static_cast<std::size_t>(c)];
+            }
+          }
+        }
+        for (std::int64_t c = 0; c < out_c; ++c) {
+          float sum = 0.0f;
+          for (std::int64_t q = 0; q < out_hw; ++q) sum += go[c * out_hw + q];
+          want_gb[static_cast<std::size_t>(c)] += sum;
+        }
+        frozen::gemm_nt(go, cols.data(), want_gw.data(), out_c, out_hw, taps,
+                        1.0f, 1.0f);
+      }
+    }
+    const auto same = [&](std::vector<float> got, std::vector<float> want) {
+      if (how == Fill::kMixedNaNSigns) {
+        want = nan_canonical(std::move(want));
+        got = nan_canonical(std::move(got));
+      }
+      return same_bytes(got, want);
+    };
+    for (const ops::GemmKernels* v : runnable_variants()) {
+      std::vector<float> y(dy.size(), 7.0f), gw = gw0, gb = gb0;
+      v->conv_forward(x.data(), weight.data(), bias.data(), y.data(), s);
+      EXPECT_TRUE(same(y, want_y)) << v->isa << " conv_forward";
+      for (int pass = 0; pass < 2; ++pass) {
+        v->conv_backward_params(x.data(), dy.data(), gw.data(), gb.data(), s);
+      }
+      EXPECT_TRUE(same(gw, want_gw)) << v->isa << " grad_weight";
+      EXPECT_TRUE(same(gb, want_gb)) << v->isa << " grad_bias";
+    }
+  }
+};
+
+TEST_P(DirectConvPropertyTest, BitIdenticalToIm2colGemm) {
+  check_bits(Fill::kNormal);
+}
+
+TEST_P(DirectConvPropertyTest, SpecialValuesBitIdentical) {
+  check_bits(Fill::kSpecial);
+}
+
+TEST_P(DirectConvPropertyTest, MixedSignNaNsStayNaN) {
+  check_bits(Fill::kMixedNaNSigns);
+}
+
+TEST_P(DirectConvPropertyTest, NoSkippedTermBitIdentical) {
+  check_bits(Fill::kNoZeros);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeomGrid, DirectConvPropertyTest,
+    ::testing::Values(
+        // The CNN's conv1 and conv2.
+        DirectGeom{1, 6, 28, 28, 5, 2}, DirectGeom{6, 16, 14, 14, 5, 0},
+        // AlexNet's padded 3x3 convs on 8x8 and 4x4 (width 0.25).
+        DirectGeom{16, 48, 8, 8, 3, 1}, DirectGeom{48, 96, 4, 4, 3, 1},
+        // Output widths that are no multiple of 4, 8 or 16 lanes, and a
+        // non-square image.
+        DirectGeom{2, 5, 9, 13, 3, 1}, DirectGeom{3, 7, 11, 6, 3, 0},
+        // K = 1, K = 7 with pad 3, pad 3 with K = 3, and a 1x1 output.
+        DirectGeom{3, 4, 6, 5, 1, 0}, DirectGeom{2, 3, 12, 10, 7, 3},
+        DirectGeom{2, 6, 5, 7, 3, 3}, DirectGeom{4, 8, 3, 3, 3, 0},
+        // C_out = 1, 17 and 33.
+        DirectGeom{3, 1, 10, 10, 5, 2}, DirectGeom{2, 17, 9, 9, 3, 1},
+        DirectGeom{2, 33, 7, 7, 3, 1}));
 
 // (channels, h, w, kernel, stride, pad)
 using ConvGeom = std::tuple<int, int, int, int, int, int>;
