@@ -52,23 +52,20 @@ void BM_GemmShape(benchmark::State& state, ops::GemmFn kernel) {
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
 
-// The shapes of the models' hot layers: gemm and gemm_tn take the narrow
-// path below 16 output columns and the register-blocked wide path from 16
-// on. The CNN's convs per sample: conv1 forward (6x25x784), conv2 forward
-// (16x150x100) and its input gradient (gemm_tn 150x16x100); the CNN's
-// batched 1x1 conv3 at paper-cnn's batch 15 and the evaluation's 16
-// (forward 120x400xB, input gradient gemm_tn 400x120xB); AlexNet's 4x4
-// convs on 32x32 inputs (n = 16); the MLP's hidden-layer weight gradient
-// (gemm_tn 100x32x784). n = 1, 4 and 8 time the narrow path at other
-// batch sizes.
+// The GEMMs the models' layers run: gemm and gemm_tn take the narrow path
+// below 16 output columns and the register-blocked wide path from 16 on.
+// The CNN's batched 1x1 conv3 at paper-cnn's batch 15 and the evaluation's
+// 16 (forward 120x400xB, input gradient gemm_tn 400x120xB); the input
+// gradients of the CNN's conv2 (gemm_tn 150x16x100) and of AlexNet's 4x4
+// convs at width 0.25 (gemm_tn 432x96x16); the MLP's hidden-layer weight
+// gradient (gemm_tn 100x32x784). n = 1, 4 and 8 time the narrow path at
+// other batch sizes. The stride-1 convs' forwards and weight gradients run
+// the direct kernels (BM_ConvIsa).
 void gemm_shapes(benchmark::internal::Benchmark* b) {
   b->Args({120, 400, 1})
       ->Args({120, 400, 8})
       ->Args({120, 400, 15})
-      ->Args({120, 400, 16})
-      ->Args({96, 432, 16})
-      ->Args({6, 25, 784})
-      ->Args({16, 150, 100});
+      ->Args({120, 400, 16});
 }
 void gemm_tn_shapes(benchmark::internal::Benchmark* b) {
   b->Args({400, 120, 1})
@@ -79,14 +76,11 @@ void gemm_tn_shapes(benchmark::internal::Benchmark* b) {
       ->Args({150, 16, 100})
       ->Args({100, 32, 784});
 }
-// The weight gradients of the convs (m = out_c, k = out_hw, n = C*k*k)
-// and the Linear forwards of the MLP (batch 32) and the CNN (batch 15).
+// The Linear forwards of the MLP (batch 32) and the CNN (batch 15), and
+// the weight gradient of AlexNet's strided conv1 at width 0.25 (m = out_c,
+// k = out_hw, n = C*k*k).
 void gemm_nt_shapes(benchmark::internal::Benchmark* b) {
-  b->Args({6, 784, 25})
-      ->Args({16, 100, 150})
-      ->Args({120, 1, 400})
-      ->Args({32, 784, 100})
-      ->Args({15, 120, 84});
+  b->Args({32, 784, 100})->Args({15, 120, 84})->Args({16, 256, 27});
 }
 BENCHMARK_CAPTURE(BM_GemmShape, gemm, &ops::gemm)->Apply(gemm_shapes);
 BENCHMARK_CAPTURE(BM_GemmShape, gemm_tn, &ops::gemm_tn)->Apply(gemm_tn_shapes);
@@ -108,11 +102,17 @@ void BM_AddOuterIsa(benchmark::State& state, ops::OuterFn kernel) {
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
 
-// The CNN's stride-1 convs over paper-cnn's batch of 15: conv1 (1 -> 6,
-// 5x5, pad 2, on 28x28; arg 0) and conv2 (6 -> 16, 5x5, on 14x14; arg 1).
-ops::ConvShape cnn_conv(std::int64_t which) {
-  return which == 0 ? ops::ConvShape{15, 1, 28, 28, 6, 5, 2}
-                    : ops::ConvShape{15, 6, 14, 14, 16, 5, 0};
+// Stride-1 convs over paper-cnn's batch of 15: the CNN's conv1 (1 -> 6,
+// 5x5, pad 2, on 28x28; arg 0) and conv2 (6 -> 16, 5x5, on 14x14; arg 1),
+// and AlexNet's 3x3 pad-1 convs at width 0.25 on 32x32 inputs: conv2
+// (16 -> 48 on 8x8; arg 2) and conv3 (48 -> 96 on 4x4; arg 3, whose conv4
+// and conv5 share the plane).
+ops::ConvShape bench_conv(std::int64_t which) {
+  const ops::ConvShape shapes[] = {{15, 1, 28, 28, 6, 5, 2},
+                                   {15, 6, 14, 14, 16, 5, 0},
+                                   {15, 16, 8, 8, 48, 3, 1},
+                                   {15, 48, 4, 4, 96, 3, 1}};
+  return shapes[which];
 }
 
 // Operands of one conv: input, weight, bias, grad_output and the
@@ -122,7 +122,7 @@ struct ConvOperands {
   std::int64_t out_hw, taps;
   std::vector<float> x, w, b, y, gw, gb;
 
-  explicit ConvOperands(std::int64_t which) : s(cnn_conv(which)) {
+  explicit ConvOperands(std::int64_t which) : s(bench_conv(which)) {
     const std::int64_t out = ops::conv_out_size(s.height, s.kernel, 1, s.pad);
     out_hw = out * out;
     taps = s.in_c * s.kernel * s.kernel;
@@ -229,30 +229,31 @@ const bool kIsaBenchmarks = [] {
       benchmark::RegisterBenchmark(
           ("BM_ConvIsa/" + isa + path + "_forward").c_str(),
           BM_ConvForwardIsa, &v, direct)
-          ->Arg(0)
-          ->Arg(1);
+          ->DenseRange(0, 3);
       benchmark::RegisterBenchmark(
           ("BM_ConvIsa/" + isa + path + "_params").c_str(), BM_ConvParamsIsa,
           &v, direct)
-          ->Arg(0)
-          ->Arg(1);
+          ->DenseRange(0, 3);
     }
   }
   return true;
 }();
 
-// paper-cnn's convs at its batch size (15): conv2 (6 -> 16, 5x5 on 14x14),
-// conv3, whose 1x1 output runs one GEMM over the batch (16 -> 120, 5x5 on
-// 5x5), and conv1 (1 -> 6, 5x5, pad 2, on 28x28). Argument: 0 for conv2,
-// 1 for conv3, 2 for conv1.
+// Convs at paper-cnn's batch size (15). Argument: 0 for the CNN's conv2
+// (6 -> 16, 5x5 on 14x14), 1 for its conv3, whose 1x1 output runs one GEMM
+// over the batch (16 -> 120, 5x5 on 5x5), 2 for its conv1 (1 -> 6, 5x5,
+// pad 2, on 28x28), 3 and 4 for AlexNet's conv2 and conv3 at width 0.25
+// (3x3, pad 1: 16 -> 48 on 8x8, 48 -> 96 on 4x4).
 nn::Conv2d make_conv(std::int64_t which, Rng& rng, Tensor& x) {
-  const std::int64_t in_c[] = {6, 16, 1}, hw[] = {14, 5, 28};
-  const std::int64_t out_c[] = {16, 120, 6}, pad[] = {0, 0, 2};
+  const std::int64_t in_c[] = {6, 16, 1, 16, 48}, hw[] = {14, 5, 28, 8, 4};
+  const std::int64_t out_c[] = {16, 120, 6, 48, 96};
+  const std::int64_t kernel[] = {5, 5, 5, 3, 3}, pad[] = {0, 0, 2, 1, 1};
   x = Tensor(Shape{15, in_c[which], hw[which], hw[which]});
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[static_cast<std::size_t>(i)] = rng.normal();
   }
-  return nn::Conv2d(in_c[which], out_c[which], 5, 1, pad[which], rng);
+  return nn::Conv2d(in_c[which], out_c[which], kernel[which], 1, pad[which],
+                    rng);
 }
 
 void BM_Conv2dForward(benchmark::State& state) {
@@ -264,7 +265,7 @@ void BM_Conv2dForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Conv2dForward)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Conv2dForward)->DenseRange(0, 4);
 
 void BM_Conv2dBackward(benchmark::State& state) {
   Rng rng(3);
@@ -281,7 +282,7 @@ void BM_Conv2dBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(gx.data());
   }
 }
-BENCHMARK(BM_Conv2dBackward)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Conv2dBackward)->DenseRange(0, 4);
 
 // im2col and col2im of one sample, as the convs run them per sample: the
 // CNN's conv1 (1x28x28, 5x5, pad 2; arg 0) and conv2 (6x14x14, 5x5; arg 1).

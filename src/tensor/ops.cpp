@@ -51,9 +51,8 @@ struct WideArgs {
 //   kNtRows x kNtVecs       rows x vectors of gemm_nt's panel;
 //   kGradTaps x kGradVecs   taps x vectors of output channels a block of
 //                           conv_backward_params keeps in registers.
-// H is the half-width vector conv_backward_params keeps output channels in
-// when they fit in half a V. No signature in ops_kernels.inc passes a
-// vector by value, so none depends on the vector ABI (-Wpsabi).
+// No signature in ops_kernels.inc passes a vector by value, so none
+// depends on the vector ABI (-Wpsabi).
 
 #define FEDTRIP_KERNEL [[gnu::always_inline]] inline FEDTRIP_TARGET
 
@@ -61,7 +60,6 @@ struct WideArgs {
 namespace avx512 {
 using V = f32x16;
 using M = i32x16;
-using H = f32x8;
 constexpr int kWideRows = 4, kWideVecs = 4;
 constexpr bool kDenseBlocks = false;
 constexpr std::int64_t kNarrowCols = 16;
@@ -76,7 +74,6 @@ constexpr int kGradTaps = 8, kGradVecs = 2;
 namespace avx2 {
 using V = f32x8;
 using M = i32x8;
-using H = f32x4;
 constexpr int kWideRows = 4, kWideVecs = 2;
 constexpr bool kDenseBlocks = true;
 constexpr std::int64_t kNarrowCols = 16;
@@ -101,7 +98,6 @@ bool has_avx2() {
 namespace baseline {
 using V = f32x4;
 using M = i32x4;
-using H = f32x4;
 constexpr int kWideRows = 4, kWideVecs = 2;
 constexpr bool kDenseBlocks = true;
 constexpr std::int64_t kNarrowCols = 16;
